@@ -432,8 +432,9 @@ func BenchmarkProfileCollection(b *testing.B) {
 	}
 }
 
-// BenchmarkLoopMachineSearch measures the exhaustive suffix-closed search
-// at the paper's largest machine size.
+// BenchmarkLoopMachineSearch measures the exhaustive suffix-closed search:
+// one size at Select's default (5) and at the paper's largest (10), and
+// every size up to 10 in one pass.
 func BenchmarkLoopMachineSearch(b *testing.B) {
 	lh := profile.NewLocalHistory(1, 9)
 	t := &ir.Term{Op: ir.TermBr}
@@ -443,13 +444,24 @@ func BenchmarkLoopMachineSearch(b *testing.B) {
 		lh.Branch(t, x&0x30000 != 0x30000)
 	}
 	tab := lh.Table(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := statemachine.BestLoopMachine(tab, 9, 10)
-		if m.NumStates() != 10 {
-			b.Fatal("bad machine")
-		}
+	for _, n := range []int{5, 10} {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if m := statemachine.BestLoopMachine(tab, 9, n); m.NumStates() != n {
+					b.Fatal("bad machine")
+				}
+			}
+		})
 	}
+	b.Run("all_n<=10", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if ms := statemachine.BestLoopMachines(tab, 9, 10); ms[10].NumStates() != 10 {
+				b.Fatal("bad machine")
+			}
+		}
+	})
 }
 
 // BenchmarkReplicateApply measures the code replication transform itself.

@@ -10,7 +10,7 @@
 //	krallcheck [flags] (file.bl ... | -workload NAME)
 //
 //	-workload NAME   check a built-in workload instead of source files
-//	-states N        maximum machine size (default 5)
+//	-states N        maximum machine size, 2–10 (default 5)
 //	-budget N        branch budget for the profiling run (default 200000)
 //	-seed N          dataset seed override
 //	-joint           verify the joint (§6) replication driver
@@ -88,8 +88,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if opts.states < 2 {
-		fmt.Fprintf(stderr, "krallcheck: -states %d out of range, need at least 2\n", opts.states)
+	if opts.states < 2 || opts.states > statemachine.MaxSearchStates {
+		fmt.Fprintf(stderr, "krallcheck: -states %d out of range [2,%d]\n", opts.states, statemachine.MaxSearchStates)
 		return 2
 	}
 

@@ -116,8 +116,10 @@ func TestNoArgsExitsTwo(t *testing.T) {
 func TestBadStatesExitsTwo(t *testing.T) {
 	path := write(t, "good.bl", goodSrc)
 	var out, errOut strings.Builder
-	if code := run([]string{"-states", "1", path}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+	for _, n := range []string{"1", "11"} {
+		if code := run([]string{"-states", n, path}, &out, &errOut); code != 2 {
+			t.Fatalf("-states %s: exit %d, want 2", n, code)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/predict"
@@ -494,25 +495,31 @@ func (s *Suite) Table3() *Table {
 			fmt.Sprintf("%d bit hist (exit)", bits),
 			fmt.Sprintf("%d states (exit)", n))
 	}
+	nmax := slices.Max(s.Cfg.Table3States)
 	_ = s.buildColumns(t, names, func(_ int, d *WorkloadData) ([]Cell, error) {
 		sc := classify(d)
 		cells := make([]Cell, 0, len(names))
 		cells = append(cells, rateCell(profMisses(d, sc.intra)), rateCell(profMisses(d, sc.exit)))
+		// One search per site yields the best machine of every size.
+		loopMiss := make([]uint64, nmax+1)
+		loopTot := make([]uint64, nmax+1)
+		for _, site := range sc.intra {
+			for n, lm := range statemachine.BestLoopMachines(d.Prof.Local.Table(site), 9, nmax) {
+				if lm != nil {
+					loopMiss[n] += lm.Misses()
+					loopTot[n] += lm.Total
+				}
+			}
+		}
 		for _, n := range s.Cfg.Table3States {
 			bits := n - 1
 			if bits > 9 {
 				bits = 9
 			}
 			cells = append(cells, rateCell(histMisses(d, sc.intra, bits)))
-			var m, tot uint64
-			for _, site := range sc.intra {
-				lm := statemachine.BestLoopMachine(d.Prof.Local.Table(site), 9, n)
-				m += lm.Misses()
-				tot += lm.Total
-			}
-			cells = append(cells, rateCell(m, tot))
+			cells = append(cells, rateCell(loopMiss[n], loopTot[n]))
 			cells = append(cells, rateCell(histMisses(d, sc.exit, bits)))
-			m, tot = 0, 0
+			var m, tot uint64
 			for _, site := range sc.exit {
 				ft := d.C.Features[site]
 				em := statemachine.NewExitMachine(d.Prof.Local.Table(site), 9, n, ft.TakenExits)

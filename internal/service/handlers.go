@@ -369,8 +369,8 @@ func (req *Request) machineOpts() (states, pathLen int, err error) {
 	if states == 0 {
 		states = 5
 	}
-	if states < 2 || states > 64 {
-		return 0, 0, badRequest("states %d out of range [2,64]", states)
+	if states < 2 || states > statemachine.MaxSearchStates {
+		return 0, 0, badRequest("states %d out of range [2,%d]", states, statemachine.MaxSearchStates)
 	}
 	pathLen = req.MaxPathLen
 	if pathLen == 0 {

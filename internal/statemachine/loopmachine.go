@@ -127,30 +127,157 @@ func scoreStates(t *CountTree, states []Pattern) (hits, total uint64, preds []bo
 	return hits, total, preds
 }
 
-// scoreStatesFast computes only the hit count, allocation-free; the search
-// inner loop uses it before materialising full machines for the leaders.
-func scoreStatesFast(t *CountTree, states []Pattern) (hits uint64) {
-	inSet := func(q Pattern) bool {
-		for _, s := range states {
-			if s == q {
-				return true
-			}
-		}
-		return false
+// MaxSearchStates bounds the machine size taken from user input (kralld
+// requests, krallcheck -states): the paper's and Table 5's largest size.
+// The exhaustive search's set count grows about 3.7× per added state.
+const MaxSearchStates = 10
+
+// feasibleStates caps a machine size at the largest suffix-closed set over
+// patterns of at most k bits: the full trie of depth k, 2^(k+1)−2 states.
+func feasibleStates(k, n int) int {
+	if k < 30 && n > 1<<(k+1)-2 {
+		return 1<<(k+1) - 2
 	}
-	for _, p := range states {
-		eff := t.Count(p)
-		for _, d := range [2]bool{false, true} {
-			ext := p.Extend(d)
-			if int(ext.Len) <= t.K && inSet(ext) {
-				c := t.Count(ext)
-				eff.Taken -= c.Taken
-				eff.NotTaken -= c.NotTaken
-			}
-		}
-		hits += eff.Hits()
+	return n
+}
+
+var (
+	base1 = []Pattern{{Bits: 0, Len: 1}, {Bits: 1, Len: 1}}
+	base2 = []Pattern{{Bits: 0, Len: 2}, {Bits: 1, Len: 2}, {Bits: 2, Len: 2}, {Bits: 3, Len: 2}}
+)
+
+// loopSearch walks every suffix-closed state set over a base, up to nmax
+// states, in one depth-first pass, and reports each set it reaches to visit
+// with the set's longest-match hit count. Sets grow by ordered frontier
+// expansion, so each set is reached exactly once. A set of m states over
+// base1 holds no pattern longer than m−1 (m−2 over base2), so the sets of m
+// states, and their pre-order, are the same for every nmax ≥ m.
+//
+// Scoring is incremental: adding pattern c under its parent p changes only
+// eff(p), which loses cnt(c), and adds eff(c) = cnt(c). The hit count moves
+// by the difference and is restored on backtrack. The set, its eff values
+// and the frontier live in buffers sized once, so no node allocates.
+type loopSearch struct {
+	t      *CountTree
+	nmax   int
+	maxLen uint8
+	visit  func(set []Pattern, hits uint64)
+	set    []Pattern
+	eff    []profile.Pair // eff[i] is set[i]'s effective count
+	hits   uint64
+	// front is a stack of frontier segments: the frontier at a node is
+	// front[lo:hi]; a child's frontier is front[i+1:hi] plus the added
+	// pattern's two extensions, written at front[hi:hi+2]. Each state on
+	// the path pushes at most two entries, so 2·nmax entries suffice.
+	front []frontEntry
+}
+
+type frontEntry struct {
+	p      Pattern
+	parent int // index of p.Suffix(p.Len-1) in set
+}
+
+func newLoopSearch(t *CountTree, nmax int, visit func(set []Pattern, hits uint64)) *loopSearch {
+	return &loopSearch{
+		t:      t,
+		nmax:   nmax,
+		maxLen: uint8(min(nmax-1, t.K)),
+		visit:  visit,
+		set:    make([]Pattern, 0, nmax),
+		eff:    make([]profile.Pair, 0, nmax),
+		front:  make([]frontEntry, 2*nmax),
 	}
-	return hits
+}
+
+// searchLoopSets runs the search over base1 and then, when a 4-state set
+// fits, over base2.
+func searchLoopSets(t *CountTree, nmax int, visit func(set []Pattern, hits uint64)) {
+	s := newLoopSearch(t, nmax, visit)
+	s.run(base1)
+	if nmax >= 4 && s.maxLen >= 2 {
+		s.run(base2)
+	}
+}
+
+func (s *loopSearch) run(base []Pattern) {
+	if len(base) > s.nmax {
+		return
+	}
+	s.set, s.eff, s.hits = s.set[:0], s.eff[:0], 0
+	hi := 0
+	for i, p := range base {
+		c := s.t.Count(p)
+		s.set = append(s.set, p)
+		s.eff = append(s.eff, c)
+		s.hits += c.Hits()
+		hi = s.push(p, i, hi)
+	}
+	s.visit(s.set, s.hits)
+	s.grow(0, hi)
+}
+
+// push writes the extensions of set[idx] = p at front[hi:hi+2] when p may
+// still grow, and returns the new top of the frontier.
+func (s *loopSearch) push(p Pattern, idx, hi int) int {
+	if p.Len >= s.maxLen {
+		return hi
+	}
+	s.front[hi] = frontEntry{p.Extend(false), idx}
+	s.front[hi+1] = frontEntry{p.Extend(true), idx}
+	return hi + 2
+}
+
+func (s *loopSearch) grow(lo, hi int) {
+	if len(s.set) == s.nmax {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		e := s.front[i]
+		c := s.t.Count(e.p)
+		par := s.eff[e.parent]
+		shrunk := profile.Pair{Taken: par.Taken - c.Taken, NotTaken: par.NotTaken - c.NotTaken}
+		saved := s.hits
+		s.hits = s.hits - par.Hits() + shrunk.Hits() + c.Hits()
+		s.eff[e.parent] = shrunk
+		idx := len(s.set)
+		s.set = append(s.set, e.p)
+		s.eff = append(s.eff, c)
+		s.visit(s.set, s.hits)
+		s.grow(i+1, s.push(e.p, idx, hi))
+		s.set, s.eff = s.set[:idx], s.eff[:idx]
+		s.eff[e.parent] = par
+		s.hits = saved
+	}
+}
+
+// bestLoopSets returns, for every size n ≤ nmax, the state set with the most
+// hits: the first strictly better set in search order, base1 before base2.
+// Sizes past the largest feasible one repeat its set.
+func bestLoopSets(t *CountTree, nmax int) [][]Pattern {
+	best := make([][]Pattern, nmax+1)
+	bestHits := make([]uint64, nmax+1)
+	searchLoopSets(t, feasibleStates(t.K, nmax), func(set []Pattern, hits uint64) {
+		m := len(set)
+		if best[m] == nil || hits > bestHits[m] {
+			best[m] = append(best[m][:0], set...)
+			bestHits[m] = hits
+		}
+	})
+	for n := 3; n <= nmax; n++ {
+		if best[n] == nil {
+			best[n] = best[n-1]
+		}
+	}
+	return best
+}
+
+// newLoopMachine builds the machine for a state set, scored by
+// longest-match counting.
+func newLoopMachine(t *CountTree, set []Pattern) *LoopMachine {
+	states := append([]Pattern(nil), set...)
+	sortPatterns(states)
+	hits, total, preds := scoreStates(t, states)
+	return &LoopMachine{States: states, PredTaken: preds, Init: initialState(t, states), Hits: hits, Total: total}
 }
 
 // BestLoopMachine searches exhaustively for the n-state machine with the
@@ -160,47 +287,38 @@ func scoreStatesFast(t *CountTree, states []Pattern) (hits uint64) {
 // over two bases, both drawn in the paper: the two 1-bit catch-all states
 // (Figure 2) and, when n ≥ 4, the four 2-bit catch-all states (Figure 3);
 // each base grows by suffix-closed extension up to history length
-// min(n-1, k).
+// min(n-1, k). Ties go to the first set found, base1 before base2.
 //
 // n must be at least 2. A 2-state machine is exactly the 1-bit history
-// scheme.
+// scheme. When no suffix-closed set of n states exists (n > 2^(k+1)−2),
+// the largest machine, the full trie of k-bit patterns, is returned.
 func BestLoopMachine(tab []profile.Pair, k, n int) *LoopMachine {
+	checkLoopArgs(k, n)
+	t := NewCountTree(tab, k)
+	return newLoopMachine(t, bestLoopSets(t, n)[n])
+}
+
+// BestLoopMachines runs the BestLoopMachine search once for every size up
+// to nmax: element n of the result is BestLoopMachine(tab, k, n) for
+// 2 ≤ n ≤ nmax; elements 0 and 1 are nil.
+func BestLoopMachines(tab []profile.Pair, k, nmax int) []*LoopMachine {
+	checkLoopArgs(k, nmax)
+	t := NewCountTree(tab, k)
+	sets := bestLoopSets(t, nmax)
+	out := make([]*LoopMachine, nmax+1)
+	for n := 2; n <= nmax; n++ {
+		out[n] = newLoopMachine(t, sets[n])
+	}
+	return out
+}
+
+func checkLoopArgs(k, n int) {
 	if n < 2 {
 		panic(fmt.Sprintf("statemachine: loop machine needs >= 2 states, got %d", n))
 	}
 	if k < 1 {
 		panic("statemachine: history length must be >= 1")
 	}
-	t := NewCountTree(tab, k)
-	maxLen := n - 1
-	if maxLen > k {
-		maxLen = k
-	}
-
-	var best *LoopMachine
-	consider := func(states []Pattern) {
-		hits := scoreStatesFast(t, states)
-		if best == nil || hits > best.Hits {
-			cp := make([]Pattern, len(states))
-			copy(cp, states)
-			sortPatterns(cp)
-			// Rescore in sorted order so PredTaken aligns with States.
-			h2, t2, p2 := scoreStates(t, cp)
-			best = &LoopMachine{States: cp, PredTaken: p2, Hits: h2, Total: t2}
-		}
-	}
-
-	base1 := []Pattern{{Bits: 0, Len: 1}, {Bits: 1, Len: 1}}
-	enumerateSuffixClosed(base1, n, maxLen, consider)
-	if n >= 4 && maxLen >= 2 && k >= 2 {
-		base2 := []Pattern{
-			{Bits: 0, Len: 2}, {Bits: 1, Len: 2},
-			{Bits: 2, Len: 2}, {Bits: 3, Len: 2},
-		}
-		enumerateSuffixClosed(base2, n, maxLen, consider)
-	}
-	best.Init = initialState(t, best.States)
-	return best
 }
 
 // delta builds the dense transition table of the machine.
@@ -245,68 +363,58 @@ func (m *LoopMachine) Rescore(st *profile.Stream) {
 // candidate sets by exact stream replay (Rescore) and returns the machine
 // that is actually best when realised as replicated code. The table-based
 // score is used as the search heuristic; the topK (here 12) candidates are
-// replayed.
+// replayed. Like BestLoopMachine, it returns the largest machine when no
+// n-state set exists.
 func BestLoopMachineExact(tab []profile.Pair, k, n int, st *profile.Stream) *LoopMachine {
 	if st == nil || st.Len() == 0 {
 		return BestLoopMachine(tab, k, n)
 	}
+	checkLoopArgs(k, n)
 	t := NewCountTree(tab, k)
-	maxLen := n - 1
-	if maxLen > k {
-		maxLen = k
-	}
-	const topK = 12
-	type cand struct {
-		hits   uint64
-		states []Pattern
-	}
-	var top []cand
-	consider := func(states []Pattern) {
-		hits := scoreStatesFast(t, states)
-		if len(top) == topK && hits <= top[topK-1].hits {
-			return
-		}
-		cp := make([]Pattern, len(states))
-		copy(cp, states)
-		sortPatterns(cp)
-		c := cand{hits: hits, states: cp}
-		pos := len(top)
-		for pos > 0 && top[pos-1].hits < hits {
-			pos--
-		}
-		top = append(top, cand{})
-		copy(top[pos+1:], top[pos:])
-		top[pos] = c
-		if len(top) > topK {
-			top = top[:topK]
-		}
-	}
-	base1 := []Pattern{{Bits: 0, Len: 1}, {Bits: 1, Len: 1}}
-	enumerateSuffixClosed(base1, n, maxLen, consider)
-	if n >= 4 && maxLen >= 2 && k >= 2 {
-		base2 := []Pattern{
-			{Bits: 0, Len: 2}, {Bits: 1, Len: 2},
-			{Bits: 2, Len: 2}, {Bits: 3, Len: 2},
-		}
-		enumerateSuffixClosed(base2, n, maxLen, consider)
-	}
-	// The table score is an optimistic proxy; the realizable optimum is
-	// often a chain machine (Figures 2 and 5) that the proxy under-ranks,
-	// so the canonical chains are always replayed too.
-	for _, states := range canonicalSets(n, maxLen) {
-		top = append(top, cand{states: states})
-	}
 	var best *LoopMachine
-	for _, c := range top {
-		_, _, preds := scoreStates(t, c.states)
-		m := &LoopMachine{States: c.states, PredTaken: preds}
-		m.Init = initialState(t, m.States)
+	for _, states := range replayCandidates(t, feasibleStates(k, n)) {
+		m := newLoopMachine(t, states)
 		m.Rescore(st)
 		if best == nil || m.Hits > best.Hits {
 			best = m
 		}
 	}
 	return best
+}
+
+// replayCandidates returns the state sets BestLoopMachineExact replays for
+// n states: the topK sets by table score, best first (a later set must
+// score strictly higher to pass an earlier one), then the canonical sets.
+func replayCandidates(t *CountTree, n int) [][]Pattern {
+	const topK = 12
+	type cand struct {
+		hits   uint64
+		states []Pattern
+	}
+	var top []cand
+	searchLoopSets(t, n, func(states []Pattern, hits uint64) {
+		if len(states) != n || len(top) == topK && hits <= top[topK-1].hits {
+			return
+		}
+		pos := len(top)
+		for pos > 0 && top[pos-1].hits < hits {
+			pos--
+		}
+		top = append(top, cand{})
+		copy(top[pos+1:], top[pos:])
+		top[pos] = cand{hits: hits, states: append([]Pattern(nil), states...)}
+		if len(top) > topK {
+			top = top[:topK]
+		}
+	})
+	out := make([][]Pattern, 0, len(top)+3)
+	for _, c := range top {
+		out = append(out, c.states)
+	}
+	// The table score is an optimistic proxy; the realizable optimum is
+	// often a chain machine (Figures 2 and 5) that the proxy under-ranks,
+	// so the canonical chains are always replayed too.
+	return append(out, canonicalSets(n, min(n-1, t.K))...)
 }
 
 // canonicalSets returns replay-friendly standard state sets of exactly n
@@ -377,40 +485,4 @@ func sortPatterns(ps []Pattern) {
 		}
 		return ps[i].Bits < ps[j].Bits
 	})
-}
-
-// enumerateSuffixClosed enumerates every suffix-closed superset of base
-// with exactly n states and patterns no longer than maxLen, invoking
-// consider on each. Each set is produced exactly once via ordered frontier
-// expansion.
-func enumerateSuffixClosed(base []Pattern, n, maxLen int, consider func([]Pattern)) {
-	if len(base) > n {
-		return
-	}
-	set := make([]Pattern, len(base), n)
-	copy(set, base)
-	var frontier []Pattern
-	for _, p := range base {
-		if int(p.Len) < maxLen {
-			frontier = append(frontier, p.Extend(false), p.Extend(true))
-		}
-	}
-	var rec func(frontier []Pattern, remaining int)
-	rec = func(frontier []Pattern, remaining int) {
-		if remaining == 0 {
-			consider(set)
-			return
-		}
-		for i, cand := range frontier {
-			set = append(set, cand)
-			next := make([]Pattern, 0, len(frontier)-i-1+2)
-			next = append(next, frontier[i+1:]...)
-			if int(cand.Len) < maxLen {
-				next = append(next, cand.Extend(false), cand.Extend(true))
-			}
-			rec(next, remaining-1)
-			set = set[:len(set)-1]
-		}
-	}
-	rec(frontier, n-len(base))
 }

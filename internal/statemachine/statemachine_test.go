@@ -209,34 +209,34 @@ func TestLoopMachineTransitionInvariant(t *testing.T) {
 	}
 }
 
+// setsOfSize runs the search over base1 alone and collects the sets of
+// exactly n states, sorted.
+func setsOfSize(k, n int) [][]Pattern {
+	var out [][]Pattern
+	newLoopSearch(NewCountTree(nil, k), n, func(states []Pattern, _ uint64) {
+		if len(states) == n {
+			cp := append([]Pattern(nil), states...)
+			sortPatterns(cp)
+			out = append(out, cp)
+		}
+	}).run(base1)
+	return out
+}
+
 func TestEnumerateSuffixClosedCounts(t *testing.T) {
 	// With maxLen=2 and base {0,1}: extensions are 00,10,01,11. Sets of
 	// size 3 = choose 1 of 4; size 4 = choose 2 of 4 = 6; all are valid
 	// suffix-closed sets (length-2 children of length-1 bases).
-	count := func(n int) int {
-		c := 0
-		base := []Pattern{{Bits: 0, Len: 1}, {Bits: 1, Len: 1}}
-		enumerateSuffixClosed(base, n, 2, func(states []Pattern) { c++ })
-		return c
-	}
-	if got := count(2); got != 1 {
-		t.Fatalf("n=2: %d sets, want 1", got)
-	}
-	if got := count(3); got != 4 {
-		t.Fatalf("n=3: %d sets, want 4", got)
-	}
-	if got := count(4); got != 6 {
-		t.Fatalf("n=4: %d sets, want 6", got)
+	for n, want := range map[int]int{2: 1, 3: 4, 4: 6} {
+		if got := len(setsOfSize(2, n)); got != want {
+			t.Fatalf("n=%d: %d sets, want %d", n, got, want)
+		}
 	}
 }
 
 func TestEnumerateNoDuplicates(t *testing.T) {
-	base := []Pattern{{Bits: 0, Len: 1}, {Bits: 1, Len: 1}}
 	seen := map[string]bool{}
-	enumerateSuffixClosed(base, 5, 4, func(states []Pattern) {
-		cp := make([]Pattern, len(states))
-		copy(cp, states)
-		sortPatterns(cp)
+	for _, cp := range setsOfSize(4, 5) {
 		key := ""
 		for _, p := range cp {
 			key += p.String() + ","
@@ -245,7 +245,7 @@ func TestEnumerateNoDuplicates(t *testing.T) {
 			t.Fatalf("duplicate set %s", key)
 		}
 		seen[key] = true
-	})
+	}
 	if len(seen) == 0 {
 		t.Fatal("no sets enumerated")
 	}
