@@ -27,7 +27,7 @@ bench:
 # BENCH_results.json. The format is documented in EXPERIMENTS.md;
 # `make compare` gates against this file.
 benchjson:
-	$(GO) run ./cmd/krallbench -all -execbench -tracebench -benchjson BENCH_results.json > /dev/null
+	$(GO) run ./cmd/krallbench -all -tracebench -benchjson BENCH_results.json > /dev/null
 	$(GO) run ./cmd/krallload -serve -throughput -quiet -benchjson BENCH_results.json
 	$(GO) run ./cmd/krallload -throughput -nodes 4 -noderps 400 -requests 1024 -quiet -benchjson BENCH_results.json
 
@@ -43,7 +43,7 @@ cluster:
 # Bench-regression gate: measure the working tree into bench-new.json and
 # fail if throughput dropped >15% below the committed baseline.
 compare:
-	$(GO) run ./cmd/krallbench -all -execbench -benchjson bench-new.json > /dev/null
+	$(GO) run ./cmd/krallbench -all -tracebench -benchjson bench-new.json > /dev/null
 	$(GO) run ./cmd/krallload -serve -throughput -quiet -benchjson bench-new.json
 	$(GO) run ./cmd/krallload -throughput -nodes 4 -noderps 400 -requests 1024 -quiet -benchjson bench-new.json
 	$(GO) run ./cmd/krallbench -compare BENCH_results.json bench-new.json -tolerance 0.15

@@ -70,10 +70,11 @@ stage_static() {
 }
 
 stage_suites() {
-    # Backend conformance + differential + golden-trace suites by name (they
-    # also run inside `go test ./...`; naming them makes the gate explicit
-    # and keeps them from being filtered out by future test pruning).
-    go test -run='Conformance|BackendEquivalence|VMContext' ./internal/vm
+    # Interpreter per-opcode conformance/trap and golden-trace suites by name
+    # (they also run inside `go test ./...`; naming them makes the gate
+    # explicit and keeps them from being filtered out by future test
+    # pruning).
+    go test -run='FullOpMatrix|Conformance|Trap' ./internal/interp ./internal/vm
     go test -run='GoldenTraces' ./internal/bench
 }
 
@@ -84,10 +85,9 @@ stage_fuzz() {
     # Soundness of the static branch analysis: SCCP dead-branch/always-taken
     # claims must never contradict a recorded trace on any generated program.
     go test -run='^$' -fuzz=FuzzStaticSoundness -fuzztime=10s ./internal/analysis
-    go test -run='^$' -fuzz=FuzzBackendEquivalence -fuzztime=10s ./internal/vm
     go test -run='^$' -fuzz=FuzzRunCollectorEquivalence -fuzztime=10s ./internal/bench
     # Indirect family: clustered switch programs must stay observably
-    # identical to their originals on both backends.
+    # identical to their originals.
     go test -run='^$' -fuzz=FuzzIndirectEquivalence -fuzztime=10s ./internal/indirect
 }
 
@@ -102,13 +102,12 @@ stage_check() {
 
 stage_bench() {
     go test -bench=. -benchtime=1x -run='^$' .
-    # Bench-regression gate: run the sweep (including the interp-vs-vm
-    # execution-backend comparison and the trace-replay throughput modes),
-    # the service throughput harness, and the multi-node scaling round into
-    # a fresh document, then compare it against the committed baseline
-    # (which gates the cluster's aggregate req/s and its scaling factor
-    # too).
-    go run ./cmd/krallbench -all -execbench -tracebench -benchjson bench-new.json > /dev/null
+    # Bench-regression gate: run the sweep (including the trace-replay
+    # throughput modes), the service throughput harness, and the multi-node
+    # scaling round into a fresh document, then compare it against the
+    # committed baseline (which gates the cluster's aggregate req/s and its
+    # scaling factor too).
+    go run ./cmd/krallbench -all -tracebench -benchjson bench-new.json > /dev/null
     go run ./cmd/krallload -serve -throughput -quiet -benchjson bench-new.json
     go run ./cmd/krallload -throughput -nodes 4 -noderps 400 -requests 1024 -quiet -benchjson bench-new.json
     go run ./cmd/krallbench -compare BENCH_results.json bench-new.json -tolerance 0.15

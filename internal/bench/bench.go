@@ -8,9 +8,7 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"sync"
 
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -66,12 +64,6 @@ type Compiled struct {
 	Prog     *ir.Program
 	NSites   int
 	Features []predict.SiteFeatures
-
-	// mu guards progs, the per-backend compiled-program cache: parallel
-	// experiment jobs running the same workload share one bytecode
-	// compilation instead of re-lowering the IR per run.
-	mu    sync.Mutex
-	progs map[string]exec.Program
 }
 
 // Compile builds a workload.
@@ -101,60 +93,16 @@ type RunConfig struct {
 	Scale int64
 }
 
-// execProgram returns the workload compiled for the backend, compiling at
-// most once per backend.
-func (c *Compiled) execProgram(be exec.Backend) (exec.Program, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ep, ok := c.progs[be.Name()]; ok {
-		return ep, nil
-	}
-	ep, err := be.Compile(c.Prog)
-	if err != nil {
-		return nil, fmt.Errorf("bench: compiling %s for %s: %w", c.Workload.Name, be.Name(), err)
-	}
-	if c.progs == nil {
-		c.progs = make(map[string]exec.Program)
-	}
-	c.progs[be.Name()] = ep
-	return ep, nil
-}
-
 // Run executes the compiled program on the interpreter, feeding every
 // branch event to the collectors, and returns the machine for its counters.
-func (c *Compiled) Run(cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
-	return c.RunOn(exec.Interp, cfg, collectors...)
+func (c *Compiled) Run(cfg RunConfig, collectors ...trace.Collector) (*interp.Machine, error) {
+	return runProgram(c.Prog, cfg, collectors...)
 }
 
-// RunOn is Run on a chosen execution backend, reusing the workload's cached
-// compilation for that backend.
-func (c *Compiled) RunOn(be exec.Backend, cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
-	ep, err := c.execProgram(be)
-	if err != nil {
-		return nil, err
-	}
-	return runCompiled(ep, cfg, collectors...)
-}
-
-// runProgram executes any program on the interpreter (used for transformed
-// clones, whose one-shot runs don't benefit from a compilation cache).
-func runProgram(prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
-	return runProgramOn(exec.Interp, prog, cfg, collectors...)
-}
-
-// runProgramOn compiles and runs a program on the chosen backend.
-func runProgramOn(be exec.Backend, prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
-	ep, err := be.Compile(prog)
-	if err != nil {
-		return nil, fmt.Errorf("bench: compiling %s for %s: %w", prog.Funcs[0].Name, be.Name(), err)
-	}
-	return runCompiled(ep, cfg, collectors...)
-}
-
-// runCompiled runs one backend-compiled program under the run config.
-func runCompiled(ep exec.Program, cfg RunConfig, collectors ...trace.Collector) (exec.Machine, error) {
-	m := ep.NewMachine()
-	m.SetMaxBranches(cfg.Budget)
+// runProgram executes any program on the interpreter under the run config.
+func runProgram(prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) (*interp.Machine, error) {
+	m := interp.New(prog)
+	m.MaxBranches = cfg.Budget
 	if cfg.Seed != 0 {
 		if err := m.SetGlobal("wseed", cfg.Seed); err != nil {
 			return nil, err
@@ -168,7 +116,7 @@ func runCompiled(ep exec.Program, cfg RunConfig, collectors ...trace.Collector) 
 	switch len(collectors) {
 	case 0:
 	case 1:
-		m.SetHook(collectors[0].Branch)
+		m.Hook = collectors[0].Branch
 	default:
 		// Batch the fan-out: the hot dispatch loop pays one buffer
 		// append per branch instead of one interface call per collector
@@ -176,7 +124,7 @@ func runCompiled(ep exec.Program, cfg RunConfig, collectors ...trace.Collector) 
 		// read and returns the buffer to the shared pool.
 		b := trace.NewBatcher(collectors...)
 		defer b.Release()
-		m.SetHook(b.Branch)
+		m.Hook = b.Branch
 	}
 	// Switch dispatch events go to the collectors that can consume them
 	// (the branch batcher carries only binary events). Switches are orders
@@ -188,21 +136,21 @@ func runCompiled(ep exec.Program, cfg RunConfig, collectors ...trace.Collector) 
 		}
 	}
 	if len(sws) > 0 {
-		m.SetSwHook(func(t *ir.Term, outcome int32) {
+		m.SwHook = func(t *ir.Term, outcome int32) {
 			for _, sc := range sws {
 				sc.RecordSwitch(t.Orig, outcome)
 			}
-		})
+		}
 	}
 	_, err := m.Run()
 	if err != nil && !errors.Is(err, interp.ErrLimit) {
-		return nil, fmt.Errorf("bench: running %s: %w", ep.Source().Funcs[0].Name, err)
+		return nil, fmt.Errorf("bench: running %s: %w", prog.Funcs[0].Name, err)
 	}
 	return m, nil
 }
 
 // ProfileRun runs the workload once and returns the full profile bundle.
-func (c *Compiled) ProfileRun(cfg RunConfig, opts profile.Options) (*profile.Profile, exec.Machine, error) {
+func (c *Compiled) ProfileRun(cfg RunConfig, opts profile.Options) (*profile.Profile, *interp.Machine, error) {
 	p := profile.New(c.NSites, opts)
 	m, err := c.Run(cfg, p)
 	if err != nil {

@@ -85,16 +85,15 @@ func (s *Suite) CrossDataset() (*Table, error) {
 
 // measuredRate runs a statically annotated program and returns its real
 // misprediction rate. Transformed clones have no recorded trace — their
-// branch streams differ from the original's — so this is always a live run
-// on the configured backend, counted as such in the engine stats.
+// branch streams differ from the original's — so this is always a live run,
+// counted as such in the engine stats.
 func (s *Suite) measuredRate(prog *ir.Program, cfg RunConfig) (Cell, error) {
 	s.countLiveRun()
-	m, err := runProgramOn(s.Cfg.backend(), prog, cfg)
+	m, err := runProgram(prog, cfg)
 	if err != nil {
 		return Cell{}, err
 	}
-	mc := m.Counters()
-	return rateCell(mc.Mispredicted, mc.Predicted), nil
+	return rateCell(m.Mispredicted, m.Predicted), nil
 }
 
 // MeasuredReplication transforms every workload with realizable machines

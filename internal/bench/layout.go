@@ -85,8 +85,8 @@ func (s *Suite) LayoutTable() (*Table, error) {
 	return t, nil
 }
 
-// layoutRates profiles one program (block counts + branch counts) on the
-// configured backend and evaluates both layouts.
+// layoutRates profiles one program (block counts + branch counts) and
+// evaluates both layouts.
 func layoutRates(prog *ir.Program, cfg ExpConfig) (naive, ph Cell, err error) {
 	counts, bc, err := countingRun(prog, cfg)
 	if err != nil {
@@ -103,14 +103,10 @@ func layoutRates(prog *ir.Program, cfg ExpConfig) (naive, ph Cell, err error) {
 func countingRun(prog *ir.Program, cfg ExpConfig) (*trace.Counts, [][]uint64, error) {
 	n := prog.NumberBranches(false)
 	counts := trace.NewCounts(n)
-	ep, err := cfg.backend().Compile(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := ep.NewMachine()
+	m := interp.New(prog)
 	m.EnableBlockCounts()
-	m.SetHook(counts.Branch)
-	m.SetMaxBranches(cfg.Budget)
+	m.Hook = counts.Branch
+	m.MaxBranches = cfg.Budget
 	if cfg.Seed != 0 {
 		if err := m.SetGlobal("wseed", cfg.Seed); err != nil {
 			return nil, nil, err

@@ -42,21 +42,19 @@ func TestWorkloadsRunNaturally(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			c1 := m1.Counters()
-			if c1.Branches < 1000 {
-				t.Fatalf("only %d branches at scale 2", c1.Branches)
+			if m1.Branches < 1000 {
+				t.Fatalf("only %d branches at scale 2", m1.Branches)
 			}
-			if c1.Prints == 0 {
+			if m1.Prints == 0 {
 				t.Fatal("no observable output")
 			}
 			m2, err := c.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c2 := m2.Counters()
-			if c2.Checksum != c1.Checksum || c2.Branches != c1.Branches {
+			if m2.Checksum != m1.Checksum || m2.Branches != m1.Branches {
 				t.Fatalf("nondeterministic: %d/%d vs %d/%d",
-					c1.Checksum, c1.Branches, c2.Checksum, c2.Branches)
+					m1.Checksum, m1.Branches, m2.Checksum, m2.Branches)
 			}
 		})
 	}
@@ -80,7 +78,7 @@ func TestWorkloadSeedsChangeBehaviour(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m1.Counters().Checksum == m2.Counters().Checksum {
+			if m1.Checksum == m2.Checksum {
 				t.Fatal("different seeds produced identical checksums")
 			}
 		})
@@ -101,8 +99,8 @@ func TestWorkloadBudgetStops(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mc := m.Counters(); mc.Branches != 20000 {
-				t.Fatalf("branches = %d, want exactly 20000", mc.Branches)
+			if m.Branches != 20000 {
+				t.Fatalf("branches = %d, want exactly 20000", m.Branches)
 			}
 			if counts.TotalAll() != 20000 {
 				t.Fatalf("collector saw %d", counts.TotalAll())

@@ -35,23 +35,16 @@ type RunArtifact struct {
 
 // artifactFor records — or fetches from the single-flight artifact cache —
 // the trace of one workload under the given dataset seed. The recording run
-// uses the machine's direct slab hook (SetRec), not the Collector
-// interface, so recording costs one append per branch. It runs on the
-// configured backend: both backends produce byte-identical slabs (pinned by
-// internal/vm's differential and golden-trace tests), so the cache key does
-// not mention the backend.
+// uses the machine's direct slab hook (Rec), not the Collector
+// interface, so recording costs one append per branch.
 func (s *Suite) artifactFor(c *Compiled, seed int64) (*RunArtifact, error) {
 	key := fmt.Sprintf("%strace/%s/seed%d", s.prefix, c.Workload.Name, seed)
 	return runner.Cached(s.eng.Cache(), key, func() (*RunArtifact, error) {
-		ep, err := c.execProgram(s.Cfg.backend())
-		if err != nil {
-			return nil, err
-		}
-		m := ep.NewMachine()
-		m.SetMaxBranches(s.Cfg.Budget)
+		m := interp.New(c.Prog)
+		m.MaxBranches = s.Cfg.Budget
 		m.EnableBlockCounts()
 		slab := trace.NewSlab(int(s.Cfg.Budget))
-		m.SetRec(slab)
+		m.Rec = slab
 		if seed != 0 {
 			if err := m.SetGlobal("wseed", seed); err != nil {
 				return nil, err
@@ -67,13 +60,12 @@ func (s *Suite) artifactFor(c *Compiled, seed int64) (*RunArtifact, error) {
 		}
 		slab.Seal()
 		s.countRecord(int64(slab.Len()))
-		mc := m.Counters()
 		return &RunArtifact{
 			Trace:       slab,
-			Branches:    mc.Branches,
-			Steps:       mc.Steps,
-			Checksum:    mc.Checksum,
-			Prints:      mc.Prints,
+			Branches:    m.Branches,
+			Steps:       m.Steps,
+			Checksum:    m.Checksum,
+			Prints:      m.Prints,
 			BlockCounts: m.BlockCounts(),
 		}, nil
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -71,14 +70,10 @@ func MeasureTrace(names []string, budget uint64, rounds, workers int) ([]TraceMe
 		if err != nil {
 			return nil, err
 		}
-		ep, err := c.execProgram(exec.Interp)
-		if err != nil {
-			return nil, err
-		}
-		m0 := ep.NewMachine()
-		m0.SetMaxBranches(budget)
+		m0 := interp.New(c.Prog)
+		m0.MaxBranches = budget
 		slab := trace.NewSlab(int(budget))
-		m0.SetRec(slab)
+		m0.Rec = slab
 		if err := m0.SetGlobal("wscale", 1<<30); err != nil {
 			return nil, err
 		}

@@ -12,7 +12,10 @@ import (
 // fields are invariants, not API), so each gets an explicit gob wire
 // mirror with exported fields. Decoding reconstructs every derived field
 // (masks, memo caches) rather than trusting the wire, so a decoded bundle
-// behaves identically to a freshly collected one.
+// behaves identically to a freshly collected one. Decoded shapes are
+// checked against the invariants the collectors index by — a disk-tier
+// payload is untrusted input, so a malformed one must fail to decode
+// rather than panic on the next recorded branch.
 
 type localWire struct {
 	K     int
@@ -36,7 +39,20 @@ func (h *LocalHistory) GobDecode(data []byte) error {
 	if w.K < 1 || w.K > 16 {
 		return fmt.Errorf("profile: decoded local history length %d out of range", w.K)
 	}
-	*h = LocalHistory{K: w.K, hist: w.Hist, seen: w.Seen, tabs: w.Tabs, mask: (1 << uint(w.K)) - 1, total: w.Total}
+	if len(w.Hist) != len(w.Tabs) || len(w.Seen) != len(w.Tabs) {
+		return fmt.Errorf("profile: decoded local history has %d histories, %d warm-up counters, %d tables",
+			len(w.Hist), len(w.Seen), len(w.Tabs))
+	}
+	mask := uint32(1)<<uint(w.K) - 1
+	for s, hist := range w.Hist {
+		if hist > mask {
+			return fmt.Errorf("profile: decoded local history %#x of site %d exceeds %d bits", hist, s, w.K)
+		}
+	}
+	if err := checkTables(w.Tabs, w.K); err != nil {
+		return err
+	}
+	*h = LocalHistory{K: w.K, hist: w.Hist, seen: w.Seen, tabs: w.Tabs, mask: mask, total: w.Total}
 	return nil
 }
 
@@ -62,7 +78,25 @@ func (h *GlobalHistory) GobDecode(data []byte) error {
 	if w.K < 1 || w.K > 16 {
 		return fmt.Errorf("profile: decoded global history length %d out of range", w.K)
 	}
-	*h = GlobalHistory{K: w.K, ghr: w.GHR, seen: w.Seen, tabs: w.Tabs, mask: (1 << uint(w.K)) - 1, total: w.Total}
+	mask := uint32(1)<<uint(w.K) - 1
+	if w.GHR > mask {
+		return fmt.Errorf("profile: decoded global history register %#x exceeds %d bits", w.GHR, w.K)
+	}
+	if err := checkTables(w.Tabs, w.K); err != nil {
+		return err
+	}
+	*h = GlobalHistory{K: w.K, ghr: w.GHR, seen: w.Seen, tabs: w.Tabs, mask: mask, total: w.Total}
+	return nil
+}
+
+// checkTables requires every allocated pattern table to have one entry per
+// k-bit pattern, as the collectors allocate them.
+func checkTables(tabs [][]Pair, k int) error {
+	for s, tab := range tabs {
+		if tab != nil && len(tab) != 1<<uint(k) {
+			return fmt.Errorf("profile: decoded table of site %d has %d entries, want %d", s, len(tab), 1<<uint(k))
+		}
+	}
 	return nil
 }
 

@@ -111,3 +111,63 @@ func TestDecodedProfileKeepsCollecting(t *testing.T) {
 	feedProfile(got, 99, 20_000)
 	requireEqual(t, p, got)
 }
+
+// TestDecodeRejectsMalformedHistories pins the disk-tier trust boundary:
+// a history wire value whose shape breaks an invariant the collectors
+// index by must fail to decode, not panic on the next recorded branch.
+func TestDecodeRejectsMalformedHistories(t *testing.T) {
+	full := func(k int) []Pair { return make([]Pair, 1<<uint(k)) }
+	cases := []struct {
+		name  string
+		wire  any
+		valid bool
+	}{
+		{"local/mismatched-and-short", localWire{K: 9, Hist: []uint32{0, 0}, Seen: []uint32{9}, Tabs: [][]Pair{{{}}}}, false},
+		{"local/hist-vs-tabs", localWire{K: 2, Hist: []uint32{0, 0}, Seen: []uint32{0}, Tabs: [][]Pair{nil}}, false},
+		{"local/seen-vs-tabs", localWire{K: 2, Hist: []uint32{0}, Seen: []uint32{0, 0}, Tabs: [][]Pair{nil}}, false},
+		{"local/table-size", localWire{K: 2, Hist: []uint32{0}, Seen: []uint32{2}, Tabs: [][]Pair{full(3)}}, false},
+		{"local/hist-over-mask", localWire{K: 2, Hist: []uint32{4}, Seen: []uint32{2}, Tabs: [][]Pair{full(2)}}, false},
+		{"local/valid", localWire{K: 2, Hist: []uint32{3, 0}, Seen: []uint32{2, 0}, Tabs: [][]Pair{full(2), nil}}, true},
+		{"global/ghr-over-mask", globalWire{K: 2, GHR: 1000, Tabs: [][]Pair{nil}}, false},
+		{"global/table-size", globalWire{K: 2, GHR: 1, Seen: 2, Tabs: [][]Pair{{{}}}}, false},
+		{"global/valid", globalWire{K: 2, GHR: 3, Seen: 2, Tabs: [][]Pair{full(2), nil}}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data, err := encodeWire(c.wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var h interface {
+				GobEncode() ([]byte, error)
+				GobDecode([]byte) error
+				RecordBranch(int32, bool)
+			}
+			if _, ok := c.wire.(localWire); ok {
+				h = new(LocalHistory)
+			} else {
+				h = new(GlobalHistory)
+			}
+			err = h.GobDecode(data)
+			if !c.valid {
+				if err == nil {
+					t.Fatal("malformed wire value decoded cleanly")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("valid wire value rejected: %v", err)
+			}
+			again, err := h.GobEncode()
+			if err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("re-encoding differs from the decoded bytes (err %v)", err)
+			}
+			// Every site of a valid value keeps collecting.
+			for s := int32(0); s < 2; s++ {
+				for i := 0; i < 8; i++ {
+					h.RecordBranch(s, i%3 == 0)
+				}
+			}
+		})
+	}
+}

@@ -28,8 +28,7 @@ import (
 // All three run inside the memory tier's single-flight slot, so a
 // stampede on a cold key still does the disk read, peer fetch, or
 // recording exactly once. Compiled programs ("prog" keys) are
-// deliberately not persisted: they embed backend code and recompiling is
-// cheap next to re-recording.
+// deliberately not persisted: recompiling is cheap next to re-recording.
 type tieredStore struct {
 	mem  *runner.Sharded
 	disk *diskstore.Store

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/diskstore"
-	"repro/internal/exec"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
@@ -72,17 +71,13 @@ type Request struct {
 
 // compiled is an immutable compiled program shared across requests via the
 // content-addressed store. Branch sites are numbered once here; downstream
-// transforms always work on clones. ep is the program lowered for the
-// server's execution backend — compiled once when the entry is created, so
-// every cached-program request skips compilation (which the vm backend
-// actually pays for).
+// transforms always work on clones.
 type compiled struct {
 	prog   *ir.Program
 	name   string
 	key    string // content hash of the program, reused in derived keys
 	nsites int
 	feats  []predict.SiteFeatures
-	ep     exec.Program
 }
 
 // artifact is the record-once product of one (program, budget, seed,
@@ -131,11 +126,7 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 			if err != nil {
 				return nil, err
 			}
-			ep, err := s.cfg.Backend.Compile(c.Prog)
-			if err != nil {
-				return nil, err
-			}
-			return &compiled{prog: c.Prog, name: w.Name, key: key, nsites: c.NSites, feats: c.Features, ep: ep}, nil
+			return &compiled{prog: c.Prog, name: w.Name, key: key, nsites: c.NSites, feats: c.Features}, nil
 		})
 	case req.Source != "":
 		key := contentKey("prog", "source", req.Source)
@@ -145,11 +136,7 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 				return nil, &httpError{http.StatusBadRequest, "compiling source: " + err.Error()}
 			}
 			n := prog.NumberBranches(true)
-			ep, err := s.cfg.Backend.Compile(prog)
-			if err != nil {
-				return nil, &httpError{http.StatusBadRequest, "compiling source: " + err.Error()}
-			}
-			return &compiled{prog: prog, name: "source", key: key, nsites: n, feats: predict.Analyze(prog), ep: ep}, nil
+			return &compiled{prog: prog, name: "source", key: key, nsites: n, feats: predict.Analyze(prog)}, nil
 		})
 	default:
 		return nil, badRequest("request needs a workload or source program")
@@ -168,24 +155,15 @@ func (s *Server) budgetFor(req *Request) (uint64, error) {
 	return b, nil
 }
 
-// newMachine prepares a run of prog on the server's backend under the
-// request's dataset knobs. The context is threaded into the run loop, so a
-// disconnected client or an expired deadline stops the machine. The step
-// backstop bounds even branch-free loops. When prog is the cached entry's
-// own program its precompiled form is reused; transformed clones compile
-// fresh.
-func (s *Server) newMachine(ctx context.Context, c *compiled, prog *ir.Program, budget uint64, req *Request) (exec.Machine, error) {
-	ep := c.ep
-	if prog != c.prog || ep == nil {
-		var err error
-		if ep, err = s.cfg.Backend.Compile(prog); err != nil {
-			return nil, err
-		}
-	}
-	m := ep.NewMachine()
-	m.SetContext(ctx, 0)
-	m.SetMaxBranches(budget)
-	m.SetMaxSteps(512 * budget)
+// newMachine prepares a run of prog (c's program or a transformed clone of
+// it) under the request's dataset knobs. The context is threaded into the
+// run loop, so a disconnected client or an expired deadline stops the
+// machine. The step backstop bounds even branch-free loops.
+func newMachine(ctx context.Context, c *compiled, prog *ir.Program, budget uint64, req *Request) (*interp.Machine, error) {
+	m := interp.New(prog)
+	m.Ctx = ctx
+	m.MaxBranches = budget
+	m.MaxSteps = 512 * budget
 	if req.Seed != 0 {
 		if err := m.SetGlobal("wseed", req.Seed); err != nil {
 			return nil, badRequest("seed override: program %s has no wseed global", c.name)
@@ -205,7 +183,7 @@ func (s *Server) newMachine(ctx context.Context, c *compiled, prog *ir.Program, 
 }
 
 // runMachine executes m, treating the branch budget as normal completion.
-func runMachine(m exec.Machine) (truncated bool, err error) {
+func runMachine(m *interp.Machine) (truncated bool, err error) {
 	if _, err := m.Run(); err != nil {
 		if errors.Is(err, interp.ErrLimit) {
 			return true, nil
@@ -226,24 +204,23 @@ func (s *Server) artifactFor(ctx context.Context, c *compiled, req *Request, bud
 	return runner.Cached(s.store, key, func() (*artifact, error) {
 		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
 		defer cancel()
-		m, err := s.newMachine(rctx, c, c.prog, budget, req)
+		m, err := newMachine(rctx, c, c.prog, budget, req)
 		if err != nil {
 			return nil, err
 		}
 		slab := trace.NewSlab(int(budget))
-		m.SetRec(slab)
+		m.Rec = slab
 		truncated, err := runMachine(m)
 		if err != nil {
 			return nil, err
 		}
 		slab.Seal()
 		s.eng.CountRecord(int64(slab.Len()))
-		mc := m.Counters()
 		return &artifact{
 			slab:      slab,
-			branches:  mc.Branches,
-			steps:     mc.Steps,
-			checksum:  mc.Checksum,
+			branches:  m.Branches,
+			steps:     m.Steps,
+			checksum:  m.Checksum,
 			truncated: truncated,
 		}, nil
 	})
@@ -519,11 +496,10 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 	})
 	preds := predict.ProfileStatic(prof.Counts).Preds
 
-	// Both measuring runs are live executions on the server's backend: the
-	// transformed clone's branch stream is exactly what the recorded trace
-	// cannot provide.
+	// Both measuring runs are live executions: the transformed clone's
+	// branch stream is exactly what the recorded trace cannot provide.
 	measure := func(prog *ir.Program) (MeasuredRun, error) {
-		m, err := s.newMachine(ctx, c, prog, budget, req)
+		m, err := newMachine(ctx, c, prog, budget, req)
 		if err != nil {
 			return MeasuredRun{}, err
 		}
@@ -531,10 +507,9 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 			return MeasuredRun{}, err
 		}
 		s.eng.CountLiveRun()
-		mc := m.Counters()
 		return MeasuredRun{
-			RateBlock: rateBlock(mc.Mispredicted, mc.Predicted),
-			Checksum:  mc.Checksum,
+			RateBlock: rateBlock(m.Mispredicted, m.Predicted),
+			Checksum:  m.Checksum,
 		}, nil
 	}
 

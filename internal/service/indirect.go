@@ -127,29 +127,28 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 	// clone's branch stream (and residual transfer count) is exactly what
 	// the recorded trace cannot provide.
 	measure := func(prog *ir.Program) (IndirectRun, error) {
-		m, err := s.newMachine(ctx, c, prog, budget, &mreq)
+		m, err := newMachine(ctx, c, prog, budget, &mreq)
 		if err != nil {
 			return IndirectRun{}, err
 		}
-		m.SetMaxBranches(4 * budget)
+		m.MaxBranches = 4 * budget
 		var dispatches uint64
-		m.SetSwHook(func(t *ir.Term, _ int32) {
+		m.SwHook = func(t *ir.Term, _ int32) {
 			if t.Op == ir.TermSwitch {
 				dispatches++
 			}
-		})
+		}
 		if _, err := runMachine(m); err != nil {
 			return IndirectRun{}, err
 		}
 		s.eng.CountLiveRun()
-		mc := m.Counters()
 		r := IndirectRun{
-			Conditional: rateBlock(mc.Mispredicted, mc.Predicted),
+			Conditional: rateBlock(m.Mispredicted, m.Predicted),
 			Dispatches:  dispatches,
-			Checksum:    mc.Checksum,
+			Checksum:    m.Checksum,
 		}
-		if ev := mc.Predicted + dispatches; ev > 0 {
-			r.EffectiveMissPct = round4(100 * float64(mc.Mispredicted+dispatches) / float64(ev))
+		if ev := m.Predicted + dispatches; ev > 0 {
+			r.EffectiveMissPct = round4(100 * float64(m.Mispredicted+dispatches) / float64(ev))
 		}
 		return r, nil
 	}

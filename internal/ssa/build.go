@@ -10,8 +10,8 @@ import (
 // function (parallel slices), with dominators computed, phis placed at
 // iterated dominance frontiers, and every register use rewritten to the
 // reaching definition (mem2reg). Unreachable and Dead blocks are dropped —
-// the interpreter never executes them, so the compiled backend need not
-// carry them.
+// the interpreter never executes them, so no analysis needs facts about
+// them.
 func Build(p *ir.Program) (*Program, error) {
 	sp := &Program{Ir: p, Funcs: make([]*Func, len(p.Funcs))}
 	for i, f := range p.Funcs {
@@ -65,10 +65,10 @@ func buildFunc(irf *ir.Func) (*Func, error) {
 		case ir.TermBr:
 			if ib.Term.Then == ib.Term.Else {
 				// Degenerate cond-br (identical arms): fold to an
-				// unconditional jump so the condition is dead-code-swept
-				// and downstream consumers never see a two-way edge pair
-				// to one target. ir.Validate rejects this shape, but Build
-				// stays defensive for hand-built inputs.
+				// unconditional jump so downstream consumers never see a
+				// two-way edge pair to one target. ir.Validate rejects
+				// this shape, but Build stays defensive for hand-built
+				// inputs.
 				sb.Term.Op = ir.TermJmp
 				sb.Term.Then = b.bmap[ib.Term.Then.ID]
 				sb.Term.Then.Preds = append(sb.Term.Then.Preds, sb)

@@ -1,29 +1,105 @@
+// Package vm_test is the conformance suite of the IR machine, the
+// interpreter in internal/interp that executes every program this
+// repository measures. The directory holds tests only.
+//
+// For every ir.Op the suite builds a minimal program exercising that op and
+// checks the value or trap it produces. Each value case runs twice: once
+// with operands loaded from globals, and once with constant operands. Every
+// run also goes through run, which checks that the trace recorder saw every
+// executed branch, that the prediction counters are consistent, and that a
+// second run on a fresh machine reproduces the return value, counters and
+// trace bytes exactly. A coverage check at the bottom fails if an ir.Op is
+// added without a conformance case.
 package vm_test
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/vm"
+	"repro/internal/lang"
+	"repro/internal/trace"
 )
-
-// The conformance suite pins the compiled backend to the interpreter one
-// opcode at a time: for every ir.Op it builds a minimal program exercising
-// that op and runs it through runBoth, which compares return value, error
-// identity, all counters, trace bytes, and block counts. Each value case
-// runs twice — once with operands loaded from globals, which the SSA
-// pipeline cannot fold, so the bytecode op really executes at run time; and
-// once with constant operands, so the folded/immediate encodings take the
-// same path. A coverage check at the bottom fails if an ir.Op is added
-// without a conformance case.
 
 func fb(f float64) int64 { return int64(math.Float64bits(f)) }
 
+// result is one interpreter run: the return value, the error, the machine
+// with its counters, and the recorded trace bytes.
+type result struct {
+	ret   int64
+	err   error
+	m     *interp.Machine
+	trace []byte
+}
+
+func runOnce(t *testing.T, prog *ir.Program) result {
+	t.Helper()
+	m := interp.New(prog)
+	m.EnableBlockCounts()
+	rec := trace.NewSlab(0)
+	m.Rec = rec
+	ret, err := m.Run()
+	rec.Seal()
+	if rec.Len() != m.Branches {
+		t.Errorf("trace recorded %d events for %d branches", rec.Len(), m.Branches)
+	}
+	if m.Predicted > m.Branches || m.Mispredicted > m.Predicted {
+		t.Errorf("counters: branches=%d predicted=%d mispredicted=%d",
+			m.Branches, m.Predicted, m.Mispredicted)
+	}
+	var buf bytes.Buffer
+	if _, err := rec.WriteTo(&buf); err != nil {
+		t.Fatalf("trace slab: %v", err)
+	}
+	return result{ret: ret, err: err, m: m, trace: buf.Bytes()}
+}
+
+// run executes prog twice on fresh machines and fails unless both runs
+// agree on return value, error text, every counter, the trace bytes and
+// the block counts. It returns the first run.
+func run(t *testing.T, prog *ir.Program) result {
+	t.Helper()
+	a, b := runOnce(t, prog), runOnce(t, prog)
+	if (a.err == nil) != (b.err == nil) || (a.err != nil && a.err.Error() != b.err.Error()) {
+		t.Fatalf("error differs between runs: %v vs %v", a.err, b.err)
+	}
+	if a.ret != b.ret {
+		t.Fatalf("return differs between runs: %d vs %d", a.ret, b.ret)
+	}
+	am, bm := a.m, b.m
+	if am.Steps != bm.Steps || am.Branches != bm.Branches ||
+		am.Predicted != bm.Predicted || am.Mispredicted != bm.Mispredicted ||
+		am.Checksum != bm.Checksum || am.Prints != bm.Prints {
+		t.Errorf("counters differ between runs")
+	}
+	if !bytes.Equal(a.trace, b.trace) {
+		t.Errorf("trace bytes differ between runs: %d vs %d bytes", len(a.trace), len(b.trace))
+	}
+	ab, bb := am.BlockCounts(), bm.BlockCounts()
+	for fi := range ab {
+		for bi := range ab[fi] {
+			if ab[fi][bi] != bb[fi][bi] {
+				t.Errorf("func %d block %d count differs between runs", fi, bi)
+			}
+		}
+	}
+	return a
+}
+
+// mustTrap fails unless r ended in a *interp.RuntimeError.
+func mustTrap(t *testing.T, r result) {
+	t.Helper()
+	var re *interp.RuntimeError
+	if !errors.As(r.err, &re) {
+		t.Fatalf("want *interp.RuntimeError, got %v (ret %d)", r.err, r.ret)
+	}
+}
+
 // opProg builds "main: return op(a, b)". With viaGlobals the operands load
-// from mutable globals (Init-seeded) so constant folding cannot touch the
-// op; otherwise they are constants and the folded/immediate forms compile.
+// from globals (Init-seeded); otherwise they are constants.
 func opProg(t *testing.T, op ir.Op, a, b int64, viaGlobals bool) *ir.Program {
 	t.Helper()
 	p := ir.NewProgram()
@@ -60,6 +136,16 @@ func opProg(t *testing.T, op ir.Op, a, b int64, viaGlobals bool) *ir.Program {
 	return p
 }
 
+func compileSrc(t *testing.T, src string) *ir.Program {
+	t.Helper()
+	prog, err := lang.Compile(src)
+	if err != nil {
+		t.Fatalf("lang.Compile: %v", err)
+	}
+	prog.NumberBranches(true)
+	return prog
+}
+
 type opCase struct {
 	name string
 	op   ir.Op
@@ -68,9 +154,8 @@ type opCase struct {
 }
 
 // opCases is the per-opcode value matrix. Every value-producing ir.Op
-// appears at least once; edge cases (wrapping division, NaN comparisons,
-// shift masking) ride along because they are exactly where a compiled
-// backend would drift from the interpreter.
+// appears at least once, with the edges where an implementation drifts
+// (wrapping division, NaN comparisons, shift masking).
 var opCases = []opCase{
 	{"mov", ir.OpMov, 42, 0, 42},
 	{"addI", ir.OpAddI, 40, 2, 42},
@@ -127,31 +212,27 @@ var opCases = []opCase{
 	{"maxF", ir.OpMaxF, fb(1), fb(2), fb(2)},
 }
 
-// TestOpConformance runs every opcode case on both backends, on both the
-// runtime (global-operand) and folded (constant-operand) paths, and checks
-// the interpreter oracle value so both backends cannot be wrong together.
+// TestOpConformance checks every opcode case on both the global-operand
+// and the constant-operand path.
 func TestOpConformance(t *testing.T) {
 	for _, c := range opCases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			for _, viaGlobals := range []bool{true, false} {
-				prog := opProg(t, c.op, c.a, c.b, viaGlobals)
-				got, err := interp.New(prog).Run()
-				if err != nil {
-					t.Fatalf("interp oracle (globals=%v): %v", viaGlobals, err)
+				r := run(t, opProg(t, c.op, c.a, c.b, viaGlobals))
+				if r.err != nil {
+					t.Fatalf("%v(%d,%d) (globals=%v): %v", c.op, c.a, c.b, viaGlobals, r.err)
 				}
-				if got != c.want {
+				if r.ret != c.want {
 					t.Fatalf("%v(%d,%d) = %d, want %d (globals=%v)",
-						c.op, c.a, c.b, got, c.want, viaGlobals)
+						c.op, c.a, c.b, r.ret, c.want, viaGlobals)
 				}
-				runBoth(t, prog, 0, 0)
 			}
 		})
 	}
 }
 
-// trapCases are the opcode executions that must fail, with identical
-// *interp.RuntimeError text on both backends.
+// trapCases are the opcode executions that must end in a
+// *interp.RuntimeError.
 var trapCases = []struct {
 	name string
 	op   ir.Op
@@ -166,14 +247,9 @@ var trapCases = []struct {
 
 func TestTrapConformance(t *testing.T) {
 	for _, c := range trapCases {
-		c := c
 		t.Run(c.name, func(t *testing.T) {
 			for _, viaGlobals := range []bool{true, false} {
-				prog := opProg(t, c.op, c.a, c.b, viaGlobals)
-				if _, err := interp.New(prog).Run(); err == nil {
-					t.Fatalf("interp oracle did not trap (globals=%v)", viaGlobals)
-				}
-				runBoth(t, prog, 0, 0)
+				mustTrap(t, run(t, opProg(t, c.op, c.a, c.b, viaGlobals)))
 			}
 		})
 	}
@@ -195,15 +271,14 @@ func TestNopConstConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.NumberBranches(true)
-	if got, err := interp.New(p).Run(); err != nil || got != 42 {
-		t.Fatalf("oracle: %d, %v", got, err)
+	if r := run(t, p); r.err != nil || r.ret != 42 {
+		t.Fatalf("got %d, %v; want 42", r.ret, r.err)
 	}
-	runBoth(t, p, 0, 0)
 }
 
 // TestGlobalConformance covers OpLoadG/OpStoreG plus the SetGlobal and
-// GlobalValue accessors, which the bench and service layers use on both
-// backends interchangeably.
+// GlobalValue accessors, which the bench and service layers use to seed
+// inputs and read results.
 func TestGlobalConformance(t *testing.T) {
 	p := ir.NewProgram()
 	for _, g := range []*ir.Global{
@@ -226,43 +301,27 @@ func TestGlobalConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.NumberBranches(true)
-	runBoth(t, p, 0, 0)
+	if r := run(t, p); r.err != nil || r.ret != 25 {
+		t.Fatalf("Init-seeded run: got %d, %v; want 25", r.ret, r.err)
+	}
 
-	im := interp.New(p)
-	if err := im.SetGlobal("x", 7); err != nil {
+	m := interp.New(p)
+	if err := m.SetGlobal("x", 7); err != nil {
 		t.Fatal(err)
 	}
-	iret, err := im.Run()
-	if err != nil {
-		t.Fatal(err)
+	ret, err := m.Run()
+	if err != nil || ret != 49 {
+		t.Fatalf("SetGlobal run: got %d, %v; want 49", ret, err)
 	}
-	vp, err := vm.Compile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vmach := vp.NewMachine()
-	if err := vmach.SetGlobal("x", 7); err != nil {
-		t.Fatal(err)
-	}
-	vret, err := vmach.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iret != 49 || vret != 49 {
-		t.Fatalf("SetGlobal runs: interp=%d vm=%d, want 49", iret, vret)
-	}
-	ig, ierr := im.GlobalValue("y")
-	vg, verr := vmach.GlobalValue("y")
-	if ierr != nil || verr != nil || ig != vg || ig != 49 {
-		t.Fatalf("GlobalValue: interp=%d,%v vm=%d,%v", ig, ierr, vg, verr)
+	if y, err := m.GlobalValue("y"); err != nil || y != 49 {
+		t.Fatalf("GlobalValue(y) = %d, %v; want 49", y, err)
 	}
 }
 
 // TestElemConformance covers OpLoadElem/OpStoreElem with runtime indices
-// (a real loop, so the element ops execute with values no optimizer can
-// predict) and the out-of-bounds traps on both sides of the range.
+// and the out-of-bounds traps on both sides of the range.
 func TestElemConformance(t *testing.T) {
-	runBoth(t, compileSrc(t, `
+	r := run(t, compileSrc(t, `
 var a [8]int;
 
 func main() int {
@@ -274,15 +333,17 @@ func main() int {
         s = s + a[i];
     }
     return s;
-}`), 0, 0)
+}`))
+	if r.err != nil || r.ret != 84 {
+		t.Fatalf("got %d, %v; want 84", r.ret, r.err)
+	}
 
 	for name, idx := range map[string]int64{"neg": -1, "past": 8} {
-		idx := idx
 		t.Run("load-"+name, func(t *testing.T) {
-			runBoth(t, elemTrapProg(t, ir.OpLoadElem, idx), 0, 0)
+			mustTrap(t, run(t, elemTrapProg(t, ir.OpLoadElem, idx)))
 		})
 		t.Run("store-"+name, func(t *testing.T) {
-			runBoth(t, elemTrapProg(t, ir.OpStoreElem, idx), 0, 0)
+			mustTrap(t, run(t, elemTrapProg(t, ir.OpStoreElem, idx)))
 		})
 	}
 }
@@ -320,10 +381,10 @@ func elemTrapProg(t *testing.T, op ir.Op, idx int64) *ir.Program {
 }
 
 // TestCallPrintConformance covers OpCall (value result, dropped result,
-// argument passing) and OpPrint (checksum and print counters), plus the
-// depth limit: unbounded recursion must hit ErrLimit identically.
+// argument passing) and OpPrint (print counter), plus the depth limit:
+// unbounded recursion must end in ErrLimit.
 func TestCallPrintConformance(t *testing.T) {
-	runBoth(t, compileSrc(t, `
+	r := run(t, compileSrc(t, `
 func emit(x int) {
     print(x);
 }
@@ -341,22 +402,32 @@ func main() int {
     }
     print(s);
     return s;
-}`), 0, 0)
+}`))
+	if r.err != nil || r.ret != 145 {
+		t.Fatalf("got %d, %v; want 145", r.ret, r.err)
+	}
+	if r.m.Prints != 3 {
+		t.Fatalf("prints = %d, want 3", r.m.Prints)
+	}
 
 	t.Run("depth-limit", func(t *testing.T) {
-		runBoth(t, compileSrc(t, `
+		r := run(t, compileSrc(t, `
 func down(n int) int {
     return down(n + 1);
 }
 
 func main() int {
     return down(0);
-}`), 0, 0)
+}`))
+		if !errors.Is(r.err, interp.ErrLimit) {
+			t.Fatalf("want ErrLimit, got %v", r.err)
+		}
 	})
 }
 
-// TestBranchConformance covers the raw vBr path (a branch on a value that
-// is not a fused comparison) and prediction scoring in both directions.
+// TestBranchConformance covers a branch on a value that is not a fused
+// comparison, and prediction scoring in both directions: a taken and a
+// not-taken annotation on the same branches mispredict complementary sets.
 func TestBranchConformance(t *testing.T) {
 	prog := compileSrc(t, `
 var bits int = 6;
@@ -370,6 +441,8 @@ func main() int {
     }
     return n;
 }`)
+	miss := map[ir.Prediction]uint64{}
+	var branches uint64
 	for _, pred := range []ir.Prediction{ir.PredNone, ir.PredTaken, ir.PredNotTaken} {
 		for _, f := range prog.Funcs {
 			for _, b := range f.Blocks {
@@ -378,7 +451,23 @@ func main() int {
 				}
 			}
 		}
-		runBoth(t, prog, 0, 0)
+		r := run(t, prog)
+		if r.err != nil || r.ret != 4 {
+			t.Fatalf("pred %v: got %d, %v; want 4", pred, r.ret, r.err)
+		}
+		want := r.m.Branches
+		if pred == ir.PredNone {
+			want = 0
+		}
+		if r.m.Predicted != want {
+			t.Fatalf("pred %v: predicted = %d, want %d", pred, r.m.Predicted, want)
+		}
+		miss[pred] = r.m.Mispredicted
+		branches = r.m.Branches
+	}
+	if miss[ir.PredTaken]+miss[ir.PredNotTaken] != branches {
+		t.Fatalf("mispredicted taken=%d + not-taken=%d, want %d branches",
+			miss[ir.PredTaken], miss[ir.PredNotTaken], branches)
 	}
 }
 
