@@ -7,7 +7,6 @@
 package repro
 
 import (
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -332,10 +331,9 @@ func BenchmarkTraceRecord(b *testing.B) {
 // BenchmarkTraceReplay measures the replay-many path — the work the
 // engine does instead of re-interpreting a workload — per collector
 // class: plain counts (the "profile" strategy's entire data need), the
-// full five-table profile bundle, the dynamic-predictor evaluators, and
-// site-partitioned parallel counting. All paths run the run-aware fused
-// decode; "counts" corresponds to the historical single-number baseline's
-// count-collector case.
+// full five-table profile bundle, and the dynamic-predictor evaluators.
+// All paths run the run-aware decode; "counts" corresponds to the
+// historical single-number baseline's count-collector case.
 func BenchmarkTraceReplay(b *testing.B) {
 	w, err := bench.ByName("compress")
 	if err != nil {
@@ -395,19 +393,10 @@ func BenchmarkTraceReplay(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			last := &predict.Eval{P: predict.NewLastDirection(c.NSites)}
 			twobit := &predict.Eval{P: predict.NewTwoBit(c.NSites)}
-			s.ReplayInto(last, twobit)
+			s.ReplayInto(trace.Multi{last, twobit})
 			if last.Total != events || twobit.Total != events {
 				b.Fatal("short replay")
 			}
-		}
-		perEvent(b)
-	})
-	b.Run("partitioned", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		counts := trace.NewCounts(c.NSites)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.ReplayPartitioned(workers, counts)
 		}
 		perEvent(b)
 	})
@@ -437,11 +426,10 @@ func BenchmarkProfileCollection(b *testing.B) {
 // every size up to 10 in one pass.
 func BenchmarkLoopMachineSearch(b *testing.B) {
 	lh := profile.NewLocalHistory(1, 9)
-	t := &ir.Term{Op: ir.TermBr}
 	x := uint32(1)
 	for i := 0; i < 50_000; i++ {
 		x = x*1664525 + 1013904223
-		lh.Branch(t, x&0x30000 != 0x30000)
+		lh.RecordBranch(0, x&0x30000 != 0x30000)
 	}
 	tab := lh.Table(0)
 	for _, n := range []int{5, 10} {

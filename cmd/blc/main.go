@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/trace"
 )
@@ -131,7 +132,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "blc:", err)
 			return 1
 		}
+		// Switch events use the site key interp records into a slab, so
+		// the file equals Slab.WriteTo of an in-process recording.
 		m.Hook = tw.Branch
+		m.SwHook = func(t *ir.Term, outcome int32) { tw.RecordSwitch(t.Site, outcome, 1) }
 	}
 	ret, err := m.Run()
 	if err != nil && err != interp.ErrLimit {

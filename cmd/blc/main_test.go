@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/interp"
+	"repro/internal/lang"
 	"repro/internal/trace"
 )
 
@@ -83,17 +85,64 @@ func TestTraceFile(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errs)
 	}
-	f, err := os.Open(tracePath)
+	data, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	events, err := trace.ReadAll(f)
+	s, err := trace.ReadSlab(data, trace.DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 6 { // 5 taken + 1 exit
-		t.Fatalf("trace has %d events", len(events))
+	if n := len(s.Events()); n != 6 { // 5 taken + 1 exit
+		t.Fatalf("trace has %d events", n)
+	}
+}
+
+// TestTraceFileMatchesSlab pins that -trace writes every event the
+// interpreter records, switch dispatches included: the file must equal
+// Slab.WriteTo of an in-process recording of the same program.
+func TestTraceFileMatchesSlab(t *testing.T) {
+	path := filepath.Join("..", "..", "examples", "bl", "dispatch.bl")
+	tracePath := filepath.Join(t.TempDir(), "t.bltrace")
+	if code, _, errs := runBlc(t, "-trace", tracePath, path); code != 0 {
+		t.Fatalf("exit %d: %s", code, errs)
+	}
+	got, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.Compile(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := interp.New(prog)
+	s := trace.NewSlab(0)
+	m.Rec = s
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.Seal()
+	var want bytes.Buffer
+	if _, err := s.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	switches := 0
+	for _, ev := range s.Events() {
+		if ev.Switch {
+			switches++
+		}
+	}
+	if switches == 0 {
+		t.Fatal("dispatch.bl recorded no switch events")
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("-trace wrote %d bytes, in-process recording is %d bytes (%d switch events)",
+			len(got), want.Len(), switches)
 	}
 }
 

@@ -22,7 +22,7 @@
 //	-forcelive    disable the trace-replay engine (every experiment
 //	              interprets live; identical results, slower)
 //	-tracebench   time trace replay per decode mode (event-at-a-time,
-//	              run-aware, partitioned, profile bundle) and print the
+//	              run-aware, profile bundle) and print the
 //	              comparison (also written to -benchjson as "trace")
 //	-benchjson F  write machine-readable results (timings, engine
 //	              counters) as JSON to F — see EXPERIMENTS.md for the schema
@@ -295,7 +295,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var traceMs []bench.TraceMeasurement
 	if *tracebench {
 		secStart := time.Now()
-		traceMs, err = bench.MeasureTrace(nil, cfg.Budget, 3, workers)
+		traceMs, err = bench.MeasureTrace(nil, cfg.Budget, 3)
 		if err != nil {
 			return err
 		}
@@ -332,31 +332,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if len(traceMs) > 0 {
 			tr := &results.Trace{
-				Budget:  traceMs[0].Budget,
-				Rounds:  traceMs[0].Rounds,
-				Workers: traceMs[0].Workers,
+				Budget: traceMs[0].Budget,
+				Rounds: traceMs[0].Rounds,
 			}
-			var sTime, rTime, pTime, fTime, total float64
+			var sTime, rTime, fTime, total float64
 			for _, m := range traceMs {
 				tr.Workloads = append(tr.Workloads, results.TraceWorkload{
-					Name:                       m.Workload,
-					Events:                     m.Events,
-					EncodedBytes:               m.EncodedBytes,
-					SinglePassEventsPerSecond:  m.SinglePassEventsPerSec,
-					RunAwareEventsPerSecond:    m.RunAwareEventsPerSec,
-					PartitionedEventsPerSecond: m.PartitionedEventsPerSec,
-					ProfileEventsPerSecond:     m.ProfileEventsPerSec,
-					Speedup:                    m.Speedup,
+					Name:                      m.Workload,
+					Events:                    m.Events,
+					EncodedBytes:              m.EncodedBytes,
+					SinglePassEventsPerSecond: m.SinglePassEventsPerSec,
+					RunAwareEventsPerSecond:   m.RunAwareEventsPerSec,
+					ProfileEventsPerSecond:    m.ProfileEventsPerSec,
+					Speedup:                   m.Speedup,
 				})
 				sTime += float64(m.Events) / m.SinglePassEventsPerSec
 				rTime += float64(m.Events) / m.RunAwareEventsPerSec
-				pTime += float64(m.Events) / m.PartitionedEventsPerSec
 				fTime += float64(m.Events) / m.ProfileEventsPerSec
 				total += float64(m.Events)
 			}
 			tr.SinglePassEventsPerSecond = total / sTime
 			tr.RunAwareEventsPerSecond = total / rTime
-			tr.PartitionedEventsPerSecond = total / pTime
 			tr.ProfileEventsPerSecond = total / fTime
 			tr.Speedup = tr.RunAwareEventsPerSecond / tr.SinglePassEventsPerSecond
 			res.Trace = tr

@@ -187,7 +187,7 @@ func checkOne(name string, prog *ir.Program, opts options, stdout, stderr io.Wri
 	m.MaxBranches = opts.budget
 	m.Hook = prof.Branch
 	m.SwHook = func(t *ir.Term, outcome int32) {
-		targets.RecordSwitch(t.Orig, outcome)
+		targets.RecordSwitch(t.Orig, outcome, 1)
 	}
 	if opts.seed != 0 {
 		// Only workloads declare wseed; ad-hoc programs simply lack it.

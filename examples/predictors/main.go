@@ -53,11 +53,11 @@ func main() {
 		}
 	}
 	prof := profile.New(c.NSites, profile.Options{})
-	collectors := []trace.Collector{prof}
+	sinks := trace.Multi{prof}
 	for _, e := range evals {
-		collectors = append(collectors, e)
+		sinks = append(sinks, e)
 	}
-	if _, err := c.Run(bench.RunConfig{Budget: *budget, Scale: 1 << 30}, collectors...); err != nil {
+	if _, err := c.Run(bench.RunConfig{Budget: *budget, Scale: 1 << 30}, sinks); err != nil {
 		log.Fatal(err)
 	}
 

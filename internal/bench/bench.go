@@ -94,13 +94,14 @@ type RunConfig struct {
 }
 
 // Run executes the compiled program on the interpreter, feeding every
-// branch event to the collectors, and returns the machine for its counters.
-func (c *Compiled) Run(cfg RunConfig, collectors ...trace.Collector) (*interp.Machine, error) {
-	return runProgram(c.Prog, cfg, collectors...)
+// branch and switch event to sink (nil for none; fan out with trace.Multi),
+// and returns the machine for its counters.
+func (c *Compiled) Run(cfg RunConfig, sink trace.Sink) (*interp.Machine, error) {
+	return runProgram(c.Prog, cfg, sink)
 }
 
 // runProgram executes any program on the interpreter under the run config.
-func runProgram(prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) (*interp.Machine, error) {
+func runProgram(prog *ir.Program, cfg RunConfig, sink trace.Sink) (*interp.Machine, error) {
 	m := interp.New(prog)
 	m.MaxBranches = cfg.Budget
 	if cfg.Seed != 0 {
@@ -113,34 +114,9 @@ func runProgram(prog *ir.Program, cfg RunConfig, collectors ...trace.Collector) 
 			return nil, err
 		}
 	}
-	switch len(collectors) {
-	case 0:
-	case 1:
-		m.Hook = collectors[0].Branch
-	default:
-		// Batch the fan-out: the hot dispatch loop pays one buffer
-		// append per branch instead of one interface call per collector
-		// per branch. Release flushes the tail before the collectors are
-		// read and returns the buffer to the shared pool.
-		b := trace.NewBatcher(collectors...)
-		defer b.Release()
-		m.Hook = b.Branch
-	}
-	// Switch dispatch events go to the collectors that can consume them
-	// (the branch batcher carries only binary events). Switches are orders
-	// of magnitude rarer than branches, so a direct fan-out is fine.
-	var sws []trace.SwitchCollector
-	for _, c := range collectors {
-		if sc, ok := c.(trace.SwitchCollector); ok {
-			sws = append(sws, sc)
-		}
-	}
-	if len(sws) > 0 {
-		m.SwHook = func(t *ir.Term, outcome int32) {
-			for _, sc := range sws {
-				sc.RecordSwitch(t.Orig, outcome)
-			}
-		}
+	if sink != nil {
+		m.Hook = func(t *ir.Term, taken bool) { sink.RecordBranch(t.Site, taken) }
+		m.SwHook = func(t *ir.Term, outcome int32) { sink.RecordSwitch(t.Orig, outcome, 1) }
 	}
 	_, err := m.Run()
 	if err != nil && !errors.Is(err, interp.ErrLimit) {

@@ -89,7 +89,7 @@ func (s *Suite) CrossDataset() (*Table, error) {
 // counted as such in the engine stats.
 func (s *Suite) measuredRate(prog *ir.Program, cfg RunConfig) (Cell, error) {
 	s.countLiveRun()
-	m, err := runProgram(prog, cfg)
+	m, err := runProgram(prog, cfg, nil)
 	if err != nil {
 		return Cell{}, err
 	}

@@ -187,9 +187,9 @@ func (s *Suite) profileWorkload(w Workload) (*WorkloadData, error) {
 			},
 			GShare: predict.Eval{P: predict.NewGShare(12)},
 		}
+		sinks := trace.Multi{d.Prof, d.Local1, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare}
 		if s.Cfg.ForceLive {
-			m, err := c.Run(RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)},
-				d.Prof, d.Local1, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare)
+			m, err := c.Run(RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)}, sinks)
 			if err != nil {
 				return nil, err
 			}
@@ -205,7 +205,7 @@ func (s *Suite) profileWorkload(w Workload) (*WorkloadData, error) {
 			return nil, err
 		}
 		d.Art = art
-		s.replay(art, d.Prof, d.Local1, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare)
+		s.replay(art, sinks)
 		d.Branches = art.Branches
 		d.Steps = art.Steps
 		return d, nil
@@ -232,8 +232,7 @@ func (s *Suite) countsFor(d *WorkloadData, seed int64) (*trace.Counts, error) {
 		if err != nil {
 			return nil, err
 		}
-		art.Trace.ReplayPartitioned(s.workers(), counts)
-		s.countReplay(int64(art.Trace.Len()))
+		s.replay(art, counts)
 		return counts, nil
 	})
 }

@@ -38,7 +38,7 @@ func TestWorkloadsRunNaturally(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := RunConfig{Scale: 2}
-			m1, err := c.Run(cfg)
+			m1, err := c.Run(cfg, nil)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -48,7 +48,7 @@ func TestWorkloadsRunNaturally(t *testing.T) {
 			if m1.Prints == 0 {
 				t.Fatal("no observable output")
 			}
-			m2, err := c.Run(cfg)
+			m2, err := c.Run(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,11 +70,11 @@ func TestWorkloadSeedsChangeBehaviour(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m1, err := c.Run(RunConfig{Scale: 2, Seed: 1111})
+			m1, err := c.Run(RunConfig{Scale: 2, Seed: 1111}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m2, err := c.Run(RunConfig{Scale: 2, Seed: 999983})
+			m2, err := c.Run(RunConfig{Scale: 2, Seed: 999983}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,10 +71,9 @@ func (s *Suite) artifactFor(c *Compiled, seed int64) (*RunArtifact, error) {
 	})
 }
 
-// replay feeds the artifact's trace into the collectors and counts one
-// replay pass serving len(cs) consumers.
-func (s *Suite) replay(art *RunArtifact, cs ...trace.Collector) {
-	art.Trace.ReplayInto(cs...)
+// replay feeds the artifact's trace into sink and counts one replay pass.
+func (s *Suite) replay(art *RunArtifact, sink trace.Sink) {
+	art.Trace.ReplayInto(sink)
 	s.countReplay(int64(art.Trace.Len()))
 }
 
@@ -83,12 +82,10 @@ func (s *Suite) replay(art *RunArtifact, cs ...trace.Collector) {
 // it live: replicate.Annotate only sets Term.Pred — sites and control flow
 // are untouched — so the annotated clone's branch stream is exactly the
 // recorded one, and the interpreter's Predicted/Mispredicted counters
-// reduce to predict.StaticScore's fold over the runs. The scorer is
-// order-insensitive, so big traces shard across the engine's workers.
+// reduce to predict.StaticScore's fold over the runs.
 func (s *Suite) staticTraceRate(art *RunArtifact, preds []ir.Prediction) Cell {
 	score := &predict.StaticScore{Preds: preds}
-	art.Trace.ReplayPartitioned(s.workers(), score)
-	s.countReplay(int64(art.Trace.Len()))
+	s.replay(art, score)
 	return rateCell(score.Mispredicted, score.Predicted)
 }
 
@@ -108,13 +105,4 @@ func (s *Suite) countLiveRun() {
 	if s.eng != nil {
 		s.eng.CountLiveRun()
 	}
-}
-
-// workers is the engine's pool width, the partition count for sharded
-// trace replay (1 when the suite runs without an engine).
-func (s *Suite) workers() int {
-	if s.eng != nil {
-		return s.eng.Workers()
-	}
-	return 1
 }

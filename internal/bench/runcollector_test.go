@@ -32,6 +32,12 @@ func slabFromSource(src string, budget uint64) *trace.Slab {
 	return s
 }
 
+// runsOnly delivers single events to RecordRun as runs of one, so every
+// event of a replay takes the sink's run path.
+type runsOnly struct{ trace.Sink }
+
+func (r runsOnly) RecordBranch(site int32, taken bool) { r.Sink.RecordRun(site, taken, 1) }
+
 func probeEvents(nsites int) []trace.Event {
 	evs := make([]trace.Event, 0, 4*nsites+16)
 	for i := 0; i < 4*nsites+16; i++ {
@@ -115,10 +121,11 @@ func compareEvals(t *testing.T, label string, nsites int, a, b *predict.Eval) {
 }
 
 // checkRunEquivalence is the differential comparator: every run-aware
-// collector in profile and predict, replayed run-at-a-time, must end
-// bit-identical to its event-at-a-time twin — both in its observable
-// tables/counters and in its hidden register state, which the probe
-// suffix (shared extra events recorded per-branch on both sides) exposes.
+// sink in profile and predict, replayed run-at-a-time, must end
+// bit-identical to its event-at-a-time twin behind trace.PerEvent — both
+// in its observable tables/counters and in its hidden register state,
+// which the probe suffix (shared extra events recorded per-branch on both
+// sides) exposes.
 func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	t.Helper()
 	var max trace.MaxSite
@@ -130,8 +137,8 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	probe := probeEvents(nsites)
 
 	evC, runC := trace.NewCounts(nsites), trace.NewCounts(nsites)
-	s.Replay(evC.RecordBranch)
-	s.ReplayRuns(runC.RecordRun)
+	s.ReplayInto(trace.PerEvent{Sink: evC})
+	s.ReplayInto(runsOnly{runC})
 	compareCounts(t, "counts", evC, runC)
 
 	// Small history lengths reach the absorbing state quickly, long ones
@@ -146,8 +153,8 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 		ev := profile.New(nsites, opt)
 		run := profile.New(nsites, opt)
 		into := profile.New(nsites, opt)
-		s.Replay(ev.RecordBranch)
-		s.ReplayRuns(run.RecordRun)
+		s.ReplayInto(trace.PerEvent{Sink: ev})
+		s.ReplayInto(runsOnly{run})
 		s.ReplayInto(into)
 		label := "profile"
 		compareProfiles(t, label, ev, run)
@@ -172,8 +179,8 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	for i := range evPs {
 		ev := &predict.Eval{P: evPs[i]}
 		run := &predict.Eval{P: runPs[i]}
-		s.Replay(ev.RecordBranch)
-		s.ReplayRuns(run.RecordRun)
+		s.ReplayInto(trace.PerEvent{Sink: ev})
+		s.ReplayInto(runsOnly{run})
 		label := "predict/" + ev.P.Name()
 		compareEvals(t, label, nsites, ev, run)
 		for _, pe := range probe {
@@ -189,8 +196,8 @@ func checkRunEquivalence(t *testing.T, s *trace.Slab) {
 	}
 	evS := &predict.StaticScore{Preds: preds}
 	runS := &predict.StaticScore{Preds: preds}
-	s.Replay(evS.RecordBranch)
-	s.ReplayRuns(runS.RecordRun)
+	s.ReplayInto(trace.PerEvent{Sink: evS})
+	s.ReplayInto(runsOnly{runS})
 	if evS.Predicted != runS.Predicted || evS.Mispredicted != runS.Mispredicted {
 		t.Fatalf("static score diverges: %d/%d vs %d/%d",
 			evS.Mispredicted, evS.Predicted, runS.Mispredicted, runS.Predicted)
@@ -271,7 +278,7 @@ func TestFusedReplayEncodingProgen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ReplayAll(oldW.RecordBranch, oldW.RecordSwitch)
+		s.ReplayInto(trace.PerEvent{Sink: oldW})
 		if err := oldW.Close(); err != nil {
 			t.Fatal(err)
 		}

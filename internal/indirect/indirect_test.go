@@ -73,7 +73,7 @@ func profileTargets(t *testing.T, prog *ir.Program) *trace.TargetCounts {
 	tc := trace.NewTargetCounts(0)
 	m := interp.New(prog)
 	m.MaxSteps = 5_000_000
-	m.SwHook = func(tm *ir.Term, outcome int32) { tc.RecordSwitch(tm.Orig, outcome) }
+	m.SwHook = func(tm *ir.Term, outcome int32) { tc.RecordSwitch(tm.Orig, outcome, 1) }
 	// Limit hits and traps leave a truncated profile, which is still a
 	// valid (if weaker) guide for the transform.
 	m.Run()

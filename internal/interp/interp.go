@@ -429,7 +429,7 @@ func (m *Machine) exec(f *ir.Func, regs []int64, depth int) (int64, error) {
 				// traces byte-identical to their originals.
 				if taken {
 					if m.Rec != nil {
-						m.Rec.RecordSwitch(t.Site, t.SwOutcome)
+						m.Rec.RecordSwitch(t.Site, t.SwOutcome, 1)
 					}
 					if m.SwHook != nil {
 						m.SwHook(t, t.SwOutcome)
@@ -437,7 +437,7 @@ func (m *Machine) exec(f *ir.Func, regs []int64, depth int) (int64, error) {
 				}
 			} else {
 				if m.Rec != nil {
-					m.Rec.Record(t.Site, taken)
+					m.Rec.RecordBranch(t.Site, taken)
 				}
 				if m.Hook != nil {
 					m.Hook(t, taken)
@@ -466,7 +466,7 @@ func (m *Machine) exec(f *ir.Func, regs []int64, depth int) (int64, error) {
 				}
 			}
 			if m.Rec != nil {
-				m.Rec.RecordSwitch(t.Site, outcome)
+				m.Rec.RecordSwitch(t.Site, outcome, 1)
 			}
 			if m.SwHook != nil {
 				m.SwHook(t, outcome)

@@ -22,8 +22,8 @@ func TestCombiningTracksBetterComponent(t *testing.T) {
 		x = x*1664525 + 1013904223
 		o1 := x%64 != 0
 		for _, e := range []*Eval{comb, twoBit, twoLevel} {
-			e.Branch(t0, o0)
-			e.Branch(t1, o1)
+			e.RecordBranch(t0.Site, o0)
+			e.RecordBranch(t1.Site, o1)
 		}
 	}
 	best := twoBit.Rate()

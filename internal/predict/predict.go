@@ -6,11 +6,7 @@
 // them over a branch trace.
 package predict
 
-import (
-	"fmt"
-
-	"repro/internal/ir"
-)
+import "fmt"
 
 // Predictor is a dynamic branch predictor simulated over the trace: Predict
 // is consulted before each branch, Update is told the real outcome
@@ -27,18 +23,18 @@ type Predictor interface {
 	Reset()
 }
 
-// Eval runs a dynamic predictor as a trace.Collector and accumulates its
-// misprediction counts.
+// Eval runs a dynamic predictor as a trace.Sink and accumulates its
+// misprediction counts. Switch events are not scored.
 type Eval struct {
 	P      Predictor
 	Misses uint64
 	Total  uint64
 }
 
-// Branch implements trace.Collector.
-func (e *Eval) Branch(t *ir.Term, taken bool) { e.RecordBranch(t.Site, taken) }
+// RecordSwitch implements trace.Sink as a no-op.
+func (e *Eval) RecordSwitch(int32, int32, uint64) {}
 
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Sink.
 func (e *Eval) RecordBranch(site int32, taken bool) {
 	if e.P.Predict(site) != taken {
 		e.Misses++

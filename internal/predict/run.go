@@ -1,5 +1,7 @@
 package predict
 
+import "repro/internal/trace"
+
 // Run-aware evaluation: dynamic predictors whose state saturates under a
 // run of identical outcomes implement RunUpdater, and Eval uses it to
 // score a whole RLE run in O(1) (plus a bounded transient). The exactness
@@ -14,19 +16,17 @@ type RunUpdater interface {
 	UpdateRun(site int32, taken bool, n uint64) (misses uint64)
 }
 
-// RecordRun implements trace.RunCollector, taking the predictor's
-// closed-form path when it has one and replaying the run event-at-a-time
-// otherwise (e.g. the Combining meta-predictor, whose selector state
-// depends on each step).
+// RecordRun implements trace.Sink, taking the predictor's closed-form
+// path when it has one and replaying the run event-at-a-time otherwise
+// (e.g. the Combining meta-predictor, whose selector state depends on each
+// step).
 func (e *Eval) RecordRun(site int32, taken bool, n uint64) {
 	if r, ok := e.P.(RunUpdater); ok {
 		e.Misses += r.UpdateRun(site, taken, n)
 		e.Total += n
 		return
 	}
-	for ; n > 0; n-- {
-		e.RecordBranch(site, taken)
-	}
+	trace.PerEvent{Sink: e}.RecordRun(site, taken, n)
 }
 
 // UpdateRun implements RunUpdater: only the first event of a run can

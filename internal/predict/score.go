@@ -1,16 +1,12 @@
 package predict
 
-import (
-	"repro/internal/ir"
-	"repro/internal/trace"
-)
+import "repro/internal/ir"
 
 // StaticScore folds a fixed per-site prediction vector over a branch
 // stream: the replay equivalent of annotating a program clone and
 // measuring it live, since annotation only sets Term.Pred and leaves the
 // branch stream untouched. Sites beyond the vector and sites predicted
-// PredNone are ignored. It is order-insensitive, so it shards across
-// partitioned replay.
+// PredNone are ignored.
 type StaticScore struct {
 	Preds []ir.Prediction
 	// Predicted counts events whose site carries a prediction;
@@ -19,13 +15,13 @@ type StaticScore struct {
 	Mispredicted uint64
 }
 
-// Branch implements trace.Collector.
-func (s *StaticScore) Branch(t *ir.Term, taken bool) { s.RecordRun(t.Site, taken, 1) }
-
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Sink.
 func (s *StaticScore) RecordBranch(site int32, taken bool) { s.RecordRun(site, taken, 1) }
 
-// RecordRun implements trace.RunCollector.
+// RecordSwitch implements trace.Sink as a no-op.
+func (s *StaticScore) RecordSwitch(int32, int32, uint64) {}
+
+// RecordRun implements trace.Sink.
 func (s *StaticScore) RecordRun(site int32, taken bool, n uint64) {
 	if int(site) >= len(s.Preds) {
 		return
@@ -38,15 +34,4 @@ func (s *StaticScore) RecordRun(site int32, taken bool, n uint64) {
 	if (p == ir.PredTaken) != taken {
 		s.Mispredicted += n
 	}
-}
-
-// NewShard implements trace.Sharded: shards share the (read-only)
-// prediction vector and accumulate their own counters.
-func (s *StaticScore) NewShard() trace.RunCollector { return &StaticScore{Preds: s.Preds} }
-
-// Merge implements trace.Sharded.
-func (s *StaticScore) Merge(shard trace.RunCollector) {
-	o := shard.(*StaticScore)
-	s.Predicted += o.Predicted
-	s.Mispredicted += o.Mispredicted
 }

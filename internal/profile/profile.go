@@ -88,11 +88,10 @@ func NewLocalHistory(nSites, k int) *LocalHistory {
 	}
 }
 
-// Branch implements trace.Collector.
-func (h *LocalHistory) Branch(t *ir.Term, taken bool) { h.RecordBranch(t.Site, taken) }
+// RecordSwitch implements trace.Sink as a no-op.
+func (h *LocalHistory) RecordSwitch(int32, int32, uint64) {}
 
-// RecordBranch implements trace.SiteCollector (the replay-side entry
-// point: a bare site ID, no *ir.Term).
+// RecordBranch implements trace.Sink.
 func (h *LocalHistory) RecordBranch(s int32, taken bool) {
 	if h.seen[s] >= uint32(h.K) {
 		tab := h.tabs[s]
@@ -187,10 +186,10 @@ func NewGlobalHistory(nSites, k int) *GlobalHistory {
 	}
 }
 
-// Branch implements trace.Collector.
-func (h *GlobalHistory) Branch(t *ir.Term, taken bool) { h.RecordBranch(t.Site, taken) }
+// RecordSwitch implements trace.Sink as a no-op.
+func (h *GlobalHistory) RecordSwitch(int32, int32, uint64) {}
 
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Sink.
 func (h *GlobalHistory) RecordBranch(s int32, taken bool) {
 	if h.seen >= uint32(h.K) {
 		tab := h.tabs[s]
@@ -311,10 +310,10 @@ func NewPathHistory(nSites, m int) *PathHistory {
 	}
 }
 
-// Branch implements trace.Collector.
-func (h *PathHistory) Branch(t *ir.Term, taken bool) { h.RecordBranch(t.Site, taken) }
+// RecordSwitch implements trace.Sink as a no-op.
+func (h *PathHistory) RecordSwitch(int32, int32, uint64) {}
 
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Sink.
 func (h *PathHistory) RecordBranch(s int32, taken bool) {
 	if s >= 1<<15 {
 		panic("profile: site id does not fit in a path element")
@@ -490,22 +489,17 @@ func New(nSites int, opts Options) *Profile {
 }
 
 // Switch implements interp's SwitchFunc shape, feeding the target table.
-func (p *Profile) Switch(t *ir.Term, outcome int32) { p.RecordSwitch(t.Site, outcome) }
+func (p *Profile) Switch(t *ir.Term, outcome int32) { p.RecordSwitch(t.Site, outcome, 1) }
 
-// RecordSwitch implements trace.SwitchCollector.
-func (p *Profile) RecordSwitch(site, outcome int32) {
-	p.Targets.RecordSwitch(site, outcome)
+// RecordSwitch implements trace.Sink, feeding the target table.
+func (p *Profile) RecordSwitch(site, outcome int32, n uint64) {
+	p.Targets.RecordSwitch(site, outcome, n)
 }
 
-// RecordSwitchRun implements trace.SwitchRunCollector.
-func (p *Profile) RecordSwitchRun(site, outcome int32, n uint64) {
-	p.Targets.RecordSwitchRun(site, outcome, n)
-}
-
-// Branch implements trace.Collector, feeding all tables.
+// Branch is the interpreter-hook form of RecordBranch.
 func (p *Profile) Branch(t *ir.Term, taken bool) { p.RecordBranch(t.Site, taken) }
 
-// RecordBranch implements trace.SiteCollector, feeding all tables.
+// RecordBranch implements trace.Sink, feeding all tables.
 func (p *Profile) RecordBranch(site int32, taken bool) {
 	p.Counts.RecordBranch(site, taken)
 	p.Local.RecordBranch(site, taken)

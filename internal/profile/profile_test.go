@@ -5,18 +5,16 @@ import (
 	"testing/quick"
 
 	"repro/internal/ir"
+	"repro/internal/trace"
 )
 
 func term(site int32) *ir.Term {
 	return &ir.Term{Op: ir.TermBr, Site: site, Orig: site}
 }
 
-func feed(c interface {
-	Branch(*ir.Term, bool)
-}, site int32, outcomes string) {
-	t := term(site)
+func feed(c trace.Sink, site int32, outcomes string) {
 	for _, ch := range outcomes {
-		c.Branch(t, ch == '1')
+		c.RecordBranch(site, ch == '1')
 	}
 }
 
@@ -98,7 +96,7 @@ func TestProjectConservesCounts(t *testing.T) {
 		tm := term(0)
 		for i := 0; i < int(n)+20; i++ {
 			x = x*1664525 + 1013904223
-			h.Branch(tm, x&0x10000 != 0)
+			h.RecordBranch(tm.Site, x&0x10000 != 0)
 		}
 		full := h.Table(0)
 		var fullTotal uint64
@@ -129,8 +127,8 @@ func TestGlobalHistoryCorrelation(t *testing.T) {
 	t0, t1 := term(0), term(1)
 	pattern := []bool{true, false, false, true, true, true, false}
 	for _, o := range pattern {
-		h.Branch(t0, o)
-		h.Branch(t1, o)
+		h.RecordBranch(t0.Site, o)
+		h.RecordBranch(t1.Site, o)
 	}
 	misses, total := h.SiteMisses(1)
 	if total == 0 {
@@ -177,8 +175,8 @@ func TestPathHistoryDistinguishesPaths(t *testing.T) {
 	t1, t2 := term(1), term(2)
 	outcomes := []bool{true, false, true, true, false, false, true}
 	for _, o := range outcomes {
-		h.Branch(t1, o)
-		h.Branch(t2, o)
+		h.RecordBranch(t1.Site, o)
+		h.RecordBranch(t2.Site, o)
 	}
 	misses, total := h.SiteMisses(2)
 	if total == 0 {
@@ -195,9 +193,9 @@ func TestPathProjectConserves(t *testing.T) {
 	x := uint32(12345)
 	for i := 0; i < 500; i++ {
 		x = x*1664525 + 1013904223
-		h.Branch(t0, x&4 != 0)
+		h.RecordBranch(t0.Site, x&4 != 0)
 		x = x*1664525 + 1013904223
-		h.Branch(t1, x&8 != 0)
+		h.RecordBranch(t1.Site, x&8 != 0)
 	}
 	var fullTotal uint64
 	for _, p := range h.Table(1) {
@@ -249,7 +247,7 @@ func TestProfileBundle(t *testing.T) {
 	}
 	tm := term(1)
 	for i := 0; i < 100; i++ {
-		p.Branch(tm, i%2 == 0)
+		p.RecordBranch(tm.Site, i%2 == 0)
 	}
 	if p.Counts.Total(1) != 100 {
 		t.Fatal("counts not fed")
@@ -274,7 +272,7 @@ func TestSiteMissesMatchesMinority(t *testing.T) {
 	// Feed a fixed sequence; verify misses = sum of per-pattern minorities.
 	seq := "110100111010011101"
 	for _, ch := range seq {
-		h.Branch(tm, ch == '1')
+		h.RecordBranch(tm.Site, ch == '1')
 	}
 	tab := h.Table(0)
 	var want uint64

@@ -1,7 +1,5 @@
 package profile
 
-import "repro/internal/ir"
-
 // Stream is a packed per-branch outcome sequence (1 = taken). The
 // state-machine search replays streams to score candidate machines with
 // exact automaton semantics, instead of the paper's slightly optimistic
@@ -42,10 +40,10 @@ func NewStreams(nSites int) *Streams {
 	return &Streams{sites: make([]Stream, nSites)}
 }
 
-// Branch implements trace.Collector.
-func (c *Streams) Branch(t *ir.Term, taken bool) { c.RecordBranch(t.Site, taken) }
+// RecordSwitch implements trace.Sink as a no-op.
+func (c *Streams) RecordSwitch(int32, int32, uint64) {}
 
-// RecordBranch implements trace.SiteCollector.
+// RecordBranch implements trace.Sink.
 func (c *Streams) RecordBranch(site int32, taken bool) {
 	c.sites[site].Append(taken)
 	c.total++

@@ -30,7 +30,7 @@ type Engine struct {
 
 	// Trace-replay engine counters (see internal/bench): recordings are
 	// interpreter runs that produced a branch trace, replays are trace
-	// playbacks into collectors, and live runs are interpreter executions
+	// playbacks into trace sinks, and live runs are interpreter executions
 	// that could not be served from a trace (transformed clones).
 	records        atomic.Int64
 	recordedEvents atomic.Int64
@@ -47,7 +47,7 @@ func (e *Engine) CountRecord(events int64) {
 }
 
 // CountReplay notes one trace replay that fed events branch events into
-// collectors without re-interpreting the workload.
+// trace sinks without re-interpreting the workload.
 func (e *Engine) CountReplay(events int64) {
 	e.replays.Add(1)
 	e.replayedEvents.Add(events)

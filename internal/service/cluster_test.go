@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -77,6 +79,45 @@ func TestRestartWarm(t *testing.T) {
 	}
 	if recs := s2.Engine().Stats().TraceRecords; recs != 0 {
 		t.Fatalf("warm server re-recorded %d traces; disk tier should have served them all", recs)
+	}
+}
+
+// TestDecodeArtifactRejectsMalformedSlabs feeds the disk-tier and
+// peer-fetch decoder artifacts whose slab CRC is right but whose events
+// are not, for a 4-site program whose switches have at most 3 outcomes:
+// each must be an error (a miss), never a panic and never a slab that
+// replays wrongly or balloons a table. A well-formed slab is accepted.
+func TestDecodeArtifactRejectsMalformedSlabs(t *testing.T) {
+	sealed := func(n uint64, events ...byte) []byte {
+		b := []byte{0, 0, 0, 0} // branches, steps, checksum, truncated
+		b = append(b, "BLSLAB02"...)
+		b = binary.AppendUvarint(b, n)
+		b = binary.AppendUvarint(b, uint64(len(events)))
+		b = append(b, events...)
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(events))
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated varint", sealed(1, 0x80)},
+		{"site 1000 of 4", sealed(1, binary.AppendUvarint(nil, (1000+1)<<1|1)...)},
+		{"bare footer code", sealed(0, 0)},
+		{"leading run marker", sealed(5, 1, 5)},
+		{"switch outcome 1<<30 of 3", sealed(1, append([]byte{1, 0, 1}, binary.AppendUvarint(nil, 1<<30)...)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := decodeArtifact(tc.data, nil, &compiled{nsites: 4, outcomes: 3}); err == nil {
+				t.Fatal("decodeArtifact accepted a malformed slab")
+			}
+		})
+	}
+	ok := sealed(3, append([]byte{(3+1)<<1 | 1, 1, 0, 3, 2}, 1, 1)...) // site 3 taken, switch at site 2 outcome 2 twice
+	if _, err := decodeArtifact(ok, nil, &compiled{nsites: 4, outcomes: 3}); err != nil {
+		t.Fatalf("decodeArtifact rejected a well-formed slab: %v", err)
+	}
+	if _, err := decodeArtifact(ok, nil, nil); err == nil {
+		t.Fatal("decodeArtifact accepted a slab of an unknown program")
 	}
 }
 

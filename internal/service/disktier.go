@@ -38,20 +38,36 @@ type tieredStore struct {
 	fetchPeer func(key string) ([]byte, bool)
 }
 
-// Do implements runner.Store.
+// Do implements runner.Store. Artifact keys go through doArtifact, which
+// knows the program; through Do no stored artifact is trusted.
 func (t *tieredStore) Do(key string, fn func() (any, error)) (any, error) {
+	return t.do(key, nil, fn)
+}
+
+// doArtifact is Do for the artifact key of program c. A disk or peer slab
+// naming a site or switch outcome beyond c's cannot have been recorded
+// from that program, so it is a miss.
+func (t *tieredStore) doArtifact(key string, c *compiled, fn func() (*artifact, error)) (*artifact, error) {
+	v, err := t.do(key, c, func() (any, error) { return fn() })
+	art, _ := v.(*artifact)
+	return art, err
+}
+
+// do is Do with c, the program of an artifact key (nil when unknown,
+// which no stored slab passes).
+func (t *tieredStore) do(key string, c *compiled, fn func() (any, error)) (any, error) {
 	if t.disk == nil && t.fetchPeer == nil {
 		return t.mem.Do(key, fn)
 	}
 	return t.mem.Do(key, func() (any, error) {
 		if t.disk != nil {
-			if v, ok := t.loadDisk(key); ok {
+			if v, ok := t.loadDisk(key, c); ok {
 				return v, nil
 			}
 		}
 		if t.fetchPeer != nil && kindOf(key) == "art" {
 			if raw, ok := t.fetchPeer(key); ok {
-				if art, err := decodeArtifact(raw, nil); err == nil {
+				if art, err := decodeArtifact(raw, nil, c); err == nil {
 					if t.disk != nil {
 						_ = t.disk.Put(key, raw)
 					}
@@ -77,15 +93,15 @@ func kindOf(key string) string {
 
 // loadDisk materialises a disk entry back into its in-memory form. A
 // payload that no longer decodes (format drift between releases) is just
-// a miss; the recomputed value overwrites it.
-func (t *tieredStore) loadDisk(key string) (any, bool) {
+// a miss; the recomputed value overwrites it. c is as for do.
+func (t *tieredStore) loadDisk(key string, c *compiled) (any, bool) {
 	switch kindOf(key) {
 	case "art":
 		m, ok := t.disk.Map(key)
 		if !ok {
 			return nil, false
 		}
-		art, err := decodeArtifact(m.Data, m)
+		art, err := decodeArtifact(m.Data, m, c)
 		if err != nil {
 			m.Close()
 			return nil, false
@@ -165,9 +181,10 @@ type scoreWire struct {
 
 // encodeArtifact lays out an artifact as run counters followed by the
 // sealed slab container: uvarint branches, steps, checksum, one truncated
-// byte, then the BLSLAB01 bytes. The slab part is the mmap-able region —
+// byte, then the BLSLAB02 bytes. The slab part is the mmap-able region —
 // decodeArtifact over a mapping replays events straight from the page
-// cache.
+// cache. A BLSLAB01 entry written by an older release fails OpenSealed's
+// magic check and is a miss.
 func encodeArtifact(a *artifact) []byte {
 	buf := make([]byte, 0, 32+a.slab.SealedSize())
 	buf = binary.AppendUvarint(buf, a.branches)
@@ -181,10 +198,16 @@ func encodeArtifact(a *artifact) []byte {
 	return a.slab.AppendSealed(buf)
 }
 
-// decodeArtifact opens an encoded artifact. When data aliases a mapping,
-// pin keeps it alive for the artifact's lifetime (the slab's event bytes
-// alias data); pass nil for plain in-memory bytes.
-func decodeArtifact(data []byte, pin *diskstore.Mapped) (*artifact, error) {
+// decodeArtifact opens an encoded artifact of program c, rejecting a slab
+// that names a site or switch outcome beyond c's (or any slab when c is
+// nil), so replaying it into tables sized from c cannot overrun or balloon
+// them. When data aliases a mapping, pin keeps it alive for the artifact's
+// lifetime (the slab's event bytes alias data); pass nil for plain
+// in-memory bytes.
+func decodeArtifact(data []byte, pin *diskstore.Mapped, c *compiled) (*artifact, error) {
+	if c == nil {
+		return nil, fmt.Errorf("service: artifact of an unknown program")
+	}
 	a := &artifact{pin: pin}
 	var vals [3]uint64
 	i := 0
@@ -205,6 +228,12 @@ func decodeArtifact(data []byte, pin *diskstore.Mapped) (*artifact, error) {
 	slab, err := trace.OpenSealed(data[i:])
 	if err != nil {
 		return nil, err
+	}
+	if slab.Sites() > c.nsites {
+		return nil, fmt.Errorf("service: artifact slab names site %d of a %d-site program", slab.Sites()-1, c.nsites)
+	}
+	if slab.Outcomes() > c.outcomes {
+		return nil, fmt.Errorf("service: artifact slab names switch outcome %d of a program with %d", slab.Outcomes()-1, c.outcomes)
 	}
 	a.slab = slab
 	return a, nil

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
@@ -77,7 +76,23 @@ type compiled struct {
 	name   string
 	key    string // content hash of the program, reused in derived keys
 	nsites int
-	feats  []predict.SiteFeatures
+	// outcomes is the largest outcome count over the switch sites: a
+	// switch with n case targets has n+1 outcomes (the default is n).
+	outcomes int
+	feats    []predict.SiteFeatures
+}
+
+// switchOutcomes computes compiled.outcomes for prog.
+func switchOutcomes(prog *ir.Program) int {
+	n := 0
+	for _, f := range prog.Funcs {
+		for _, b := range f.Blocks {
+			if b.Term.Op == ir.TermSwitch && len(b.Term.Targets)+1 > n {
+				n = len(b.Term.Targets) + 1
+			}
+		}
+	}
+	return n
 }
 
 // artifact is the record-once product of one (program, budget, seed,
@@ -126,7 +141,7 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &compiled{prog: c.Prog, name: w.Name, key: key, nsites: c.NSites, feats: c.Features}, nil
+			return &compiled{prog: c.Prog, name: w.Name, key: key, nsites: c.NSites, outcomes: switchOutcomes(c.Prog), feats: c.Features}, nil
 		})
 	case req.Source != "":
 		key := contentKey("prog", "source", req.Source)
@@ -136,7 +151,7 @@ func (s *Server) resolveProgram(req *Request) (*compiled, error) {
 				return nil, &httpError{http.StatusBadRequest, "compiling source: " + err.Error()}
 			}
 			n := prog.NumberBranches(true)
-			return &compiled{prog: prog, name: "source", key: key, nsites: n, feats: predict.Analyze(prog)}, nil
+			return &compiled{prog: prog, name: "source", key: key, nsites: n, outcomes: switchOutcomes(prog), feats: predict.Analyze(prog)}, nil
 		})
 	default:
 		return nil, badRequest("request needs a workload or source program")
@@ -201,7 +216,7 @@ func runMachine(m *interp.Machine) (truncated bool, err error) {
 // (LRU drops errors), so a retry after a timeout starts clean.
 func (s *Server) artifactFor(ctx context.Context, c *compiled, req *Request, budget uint64) (*artifact, error) {
 	key := artifactKey(c.key, budget, req)
-	return runner.Cached(s.store, key, func() (*artifact, error) {
+	return s.store.doArtifact(key, c, func() (*artifact, error) {
 		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
 		defer cancel()
 		m, err := newMachine(rctx, c, c.prog, budget, req)
@@ -612,7 +627,7 @@ func (s *Server) handleScore(ctx context.Context, req *Request) (any, error) {
 		if err != nil {
 			return nil, badRequest("trace_b64: %v", err)
 		}
-		slab, err = trace.ReadSlab(bytes.NewReader(raw), s.cfg.TraceLimits)
+		slab, err = trace.ReadSlab(raw, s.cfg.TraceLimits)
 		if err != nil {
 			if errors.Is(err, trace.ErrTooLarge) {
 				return nil, &httpError{http.StatusRequestEntityTooLarge, err.Error()}
@@ -680,17 +695,15 @@ type scoreEntry struct {
 }
 
 // scoreSlab replays one trace against a strategy. Site table sizes come
-// from the trace itself, so uploaded traces need no side channel
-// describing their program. All decode/collector state — the site scan,
-// count tables, predictors, and the prediction vector — comes from the
+// from the trace itself (Slab.Sites), so uploaded traces need no side
+// channel describing their program. All replay state — count tables,
+// predictors, and the prediction vector — comes from the
 // request-scoped scorePool, so the batch pipeline's hottest endpoint
 // allocates nothing proportional to the request rate.
 func (s *Server) scoreSlab(slab *trace.Slab, strategy string, reqPreds []string) (scoreEntry, error) {
 	st := scorePool.Get().(*scoreState)
 	defer scorePool.Put(st)
-	st.max.N = 0
-	slab.ReplayInto(&st.max)
-	nsites := st.max.N
+	nsites := slab.Sites()
 
 	var score RateBlock
 	switch strategy {

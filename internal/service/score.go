@@ -8,14 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// scoreState is the per-request decode/collector state of /v1/score,
-// recycled through scorePool: the site scan, the count tables, the
-// dynamic predictors, and the prediction vector are all reused across
-// requests (grown monotonically, cleared on take), so the score path of
-// the batch pipeline stops allocating per request. The replay callbacks
-// are methods on long-lived collectors rather than per-request closures.
+// scoreState is the per-request replay state of /v1/score,
+// recycled through scorePool: the count tables, the dynamic predictors,
+// and the prediction vector are all reused across requests (grown
+// monotonically, cleared on take), so the score path of the batch
+// pipeline stops allocating per request.
 type scoreState struct {
-	max    trace.MaxSite
 	counts *trace.Counts
 	last   *predict.LastDirection
 	lastN  int

@@ -19,7 +19,7 @@ func scoreBenchSlab(nsites int, events int) *trace.Slab {
 			site = -site
 		}
 		taken := state&0x70 != 0 // biased taken, like loop branches
-		s.Record(site, taken)
+		s.RecordBranch(site, taken)
 	}
 	s.Seal()
 	return s

@@ -13,8 +13,8 @@ func mkLoopChoice(t *testing.T, site int32, outcomes string, n int) *Choice {
 	st := profile.NewStreams(1)
 	tm := term(0)
 	for _, ch := range outcomes {
-		lh.Branch(tm, ch == '1')
-		st.Branch(tm, ch == '1')
+		lh.RecordBranch(tm.Site, ch == '1')
+		st.RecordBranch(tm.Site, ch == '1')
 	}
 	m := BestLoopMachineExact(lh.Table(0), 9, n, st.Site(0))
 	return &Choice{Site: site, Kind: KindLoop, Loop: m, Hits: m.Hits, Total: m.Total}
@@ -107,7 +107,7 @@ func TestJointWithExitMachine(t *testing.T) {
 	lh := profile.NewLocalHistory(1, 9)
 	tm := term(0)
 	for i := 0; i < 500; i++ {
-		lh.Branch(tm, i%5 != 4)
+		lh.RecordBranch(tm.Site, i%5 != 4)
 	}
 	em := NewExitMachine(lh.Table(0), 9, 5, false)
 	exitChoice := &Choice{Site: 2, Kind: KindExit, Exit: em, Hits: em.Hits, Total: em.Total}

@@ -128,8 +128,8 @@ func streamTable(seed uint32, events int) ([]profile.Pair, *profile.Stream) {
 	for i := 0; i < events; i++ {
 		x = x*1664525 + 1013904223
 		o := (i%period != 0) != (x&0x70000 == 0)
-		lh.Branch(tm, o)
-		st.Branch(tm, o)
+		lh.RecordBranch(tm.Site, o)
+		st.RecordBranch(tm.Site, o)
 	}
 	return lh.Table(0), st.Site(0)
 }
@@ -285,7 +285,7 @@ func TestBestLoopMachineInfeasibleSize(t *testing.T) {
 		tab := localTable(outcomes, c.k)
 		st := profile.NewStreams(1)
 		for _, ch := range outcomes {
-			st.Branch(term(0), ch == '1')
+			st.RecordBranch(0, ch == '1')
 		}
 		m := BestLoopMachine(tab, c.k, c.n)
 		if m.NumStates() != c.want {

@@ -17,7 +17,7 @@ func localTable(outcomes string, k int) []profile.Pair {
 	h := profile.NewLocalHistory(1, k)
 	t := term(0)
 	for _, ch := range outcomes {
-		h.Branch(t, ch == '1')
+		h.RecordBranch(t.Site, ch == '1')
 	}
 	return h.Table(0)
 }
@@ -78,7 +78,7 @@ func TestCountTreeConsistency(t *testing.T) {
 		tm := term(0)
 		for i := 0; i < int(n)+40; i++ {
 			x = x*1664525 + 1013904223
-			h.Branch(tm, x&0x30000 != 0)
+			h.RecordBranch(tm.Site, x&0x30000 != 0)
 		}
 		tree := NewCountTree(h.Table(0), 5)
 		// Every level must conserve the total.
@@ -307,8 +307,8 @@ func TestPathMachinePerfectCorrelation(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		x = x*1664525 + 1013904223
 		o := x&0x100 != 0
-		h.Branch(t1, o)
-		h.Branch(t2, o)
+		h.RecordBranch(t1.Site, o)
+		h.RecordBranch(t2.Site, o)
 	}
 	m := BestPathMachine(h, 2, 3, 0)
 	if m.Rate() != 0 {
@@ -332,8 +332,8 @@ func TestPathMachineGreedyStopsWhenNoGain(t *testing.T) {
 	h := profile.NewPathHistory(2, 2)
 	t0, t1 := term(0), term(1)
 	for i := 0; i < 500; i++ {
-		h.Branch(t0, i%2 == 0)
-		h.Branch(t1, true)
+		h.RecordBranch(t0.Site, i%2 == 0)
+		h.RecordBranch(t1.Site, true)
 	}
 	m := BestPathMachine(h, 1, 5, 0)
 	if len(m.Paths) != 0 {
@@ -351,10 +351,10 @@ func TestPathMachineMoreStatesNeverWorse(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		x = x*1664525 + 1013904223
 		a := x&0x1000 != 0
-		h.Branch(t0, a)
+		h.RecordBranch(t0.Site, a)
 		// t1 depends on t0 xor parity — needs path length ≥ 2 for full
 		// accuracy.
-		h.Branch(t1, a != (i%2 == 0))
+		h.RecordBranch(t1.Site, a != (i%2 == 0))
 	}
 	prev := uint64(0)
 	for n := 1; n <= 6; n++ {
@@ -372,8 +372,8 @@ func TestScorePathSetPartition(t *testing.T) {
 	x := uint32(9)
 	for i := 0; i < 1000; i++ {
 		x = x*1664525 + 1013904223
-		h.Branch(t0, x&2 != 0)
-		h.Branch(t1, x&4 != 0)
+		h.RecordBranch(t0.Site, x&2 != 0)
+		h.RecordBranch(t1.Site, x&4 != 0)
 	}
 	full := h.Table(1)
 	var want uint64

@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"io"
 )
 
 // ErrTooLarge is returned (wrapped) when a decoded trace exceeds its
@@ -24,9 +23,7 @@ type Limits struct {
 	// stream naming site 2^31-1 makes the *consumer* allocate gigabytes
 	// even though the decoder itself stays small.
 	MaxSites int32
-	// MaxBytes bounds encoded input bytes (0 = unlimited). Enforcement is
-	// on bytes fetched from the underlying reader, so buffered read-ahead
-	// may overshoot the consumed position by one buffer.
+	// MaxBytes bounds encoded input bytes (0 = unlimited).
 	MaxBytes int64
 }
 
@@ -38,64 +35,39 @@ func DefaultLimits() Limits {
 	return Limits{MaxEvents: 1 << 26, MaxSites: 1 << 20, MaxBytes: 1 << 28}
 }
 
-// cappedReader returns ErrTooLarge once more than limit bytes were read.
-type cappedReader struct {
-	r    io.Reader
-	left int64
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.left <= 0 {
-		return 0, fmt.Errorf("input bytes: %w", ErrTooLarge)
+// ReadSlab decodes a BLTRACE1 stream held in data into a sealed Slab under
+// lim — the daemon's upload path and the file loaders. The stream is
+// decoded by the one general decode loop and re-encoded through the Slab's
+// Sink methods, so the result is exactly what an in-process recording of
+// the same events would have produced (and is safe for concurrent replay
+// once returned); it does not alias data. Bytes after the footer are
+// ignored.
+func ReadSlab(data []byte, lim Limits) (*Slab, error) {
+	if lim.MaxBytes > 0 && int64(len(data)) > lim.MaxBytes {
+		return nil, fmt.Errorf("trace: more than %d input bytes: %w", lim.MaxBytes, ErrTooLarge)
 	}
-	if int64(len(p)) > c.left {
-		p = p[:c.left]
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("trace: bad header %q", data[:min(len(data), len(magic))])
 	}
-	n, err := c.r.Read(p)
-	c.left -= int64(n)
-	return n, err
-}
-
-// NewReaderLimits is NewReader with explicit limits; NewReader itself
-// applies DefaultLimits. The event cap is checked as events decode, so a
-// run-length marker claiming billions of repeats fails at the cap instead
-// of looping.
-func NewReaderLimits(r io.Reader, lim Limits) (*Reader, error) {
-	if lim.MaxBytes > 0 {
-		r = &cappedReader{r: r, left: lim.MaxBytes}
-	}
-	tr, err := newReader(r)
-	if err != nil {
-		return nil, err
-	}
-	tr.lim = lim
-	return tr, nil
-}
-
-// ReadSlab decodes a BLTRACE1 stream into a sealed Slab under lim — the
-// daemon's upload path. The events are re-encoded through Slab.Record, so
-// the result is exactly what an in-process recording of the same stream
-// would have produced (and is safe for concurrent replay once returned).
-func ReadSlab(r io.Reader, lim Limits) (*Slab, error) {
-	tr, err := NewReaderLimits(r, lim)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Release()
+	body := data[len(magic):]
 	s := NewSlab(0)
-	for {
-		ev, err := tr.Next()
-		if err == io.EOF {
-			s.Seal()
-			return s, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ev.Switch {
-			s.RecordSwitch(ev.Site, ev.Outcome)
-		} else {
-			s.Record(ev.Site, ev.Taken)
-		}
+	n, foot, err := decode(body, s, lim.MaxEvents)
+	if err != nil {
+		return nil, err
 	}
+	if foot == 0 {
+		return nil, errors.New("trace: truncated stream: no footer")
+	}
+	total, _, err := uvarint(body, foot)
+	if err != nil {
+		return nil, fmt.Errorf("trace: truncated footer: %w", err)
+	}
+	if total != n {
+		return nil, fmt.Errorf("trace: footer count %d != decoded %d", total, n)
+	}
+	if lim.MaxSites > 0 && s.Sites() > int(lim.MaxSites) {
+		return nil, fmt.Errorf("trace: site %d exceeds the %d-site cap: %w", s.Sites()-1, lim.MaxSites, ErrTooLarge)
+	}
+	s.Seal()
+	return s, nil
 }

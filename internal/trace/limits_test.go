@@ -4,7 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -28,7 +29,7 @@ func encodeEvents(t testing.TB, events []Event) []byte {
 func TestReadSlabRoundTrip(t *testing.T) {
 	events := []Event{{Site: 0, Taken: true}, {Site: 0, Taken: true}, {Site: 1, Taken: false}, {Site: 2, Taken: true}, {Site: 2, Taken: true}, {Site: 2, Taken: true}, {Site: 0, Taken: false}}
 	data := encodeEvents(t, events)
-	s, err := ReadSlab(bytes.NewReader(data), DefaultLimits())
+	s, err := ReadSlab(data, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +50,32 @@ func TestReadSlabEventLimit(t *testing.T) {
 		events = append(events, Event{Site: int32(i % 3), Taken: i%2 == 0})
 	}
 	data := encodeEvents(t, events)
-	if _, err := ReadSlab(bytes.NewReader(data), Limits{MaxEvents: 10}); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadSlab(data, Limits{MaxEvents: 10}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
-	if _, err := ReadSlab(bytes.NewReader(data), Limits{MaxEvents: 100}); err != nil {
+	if _, err := ReadSlab(data, Limits{MaxEvents: 100}); err != nil {
 		t.Fatalf("at the cap exactly: %v", err)
 	}
+	// Single events past the cap, then a run that wraps the event count
+	// back to the footer's claim: the cap must stop the singles.
+	for _, single := range [][]byte{{(1 + 1) << 1}, {1, 0, 1, 2}} {
+		data := append([]byte(magic), wrapBomb(single, 6, 3)...)
+		data = appendFooter(data, 3)
+		if s, err := ReadSlab(data, Limits{MaxEvents: 5}); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("single %v: got %v (Len %v), want ErrTooLarge", single, err, s.Len())
+		}
+	}
+}
+
+// wrapBomb encodes k copies of the event bytes single and then a run
+// marker whose count wraps a uint64 event total from k to claim.
+func wrapBomb(single []byte, k int, claim uint64) []byte {
+	var b []byte
+	for range k {
+		b = append(b, single...)
+	}
+	b = binary.AppendUvarint(b, 1)
+	return binary.AppendUvarint(b, claim-uint64(k))
 }
 
 // TestReadSlabRunBombLimited is the attack the cap exists for: a few bytes
@@ -66,7 +87,7 @@ func TestReadSlabRunBombLimited(t *testing.T) {
 	b = binary.AppendUvarint(b, 1)                     // run marker
 	b = binary.AppendUvarint(b, 1<<50)                 // claimed repeats
 	buf.Write(b)
-	if _, err := ReadSlab(&buf, Limits{MaxEvents: 1000}); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadSlab(buf.Bytes(), Limits{MaxEvents: 1000}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
 }
@@ -76,16 +97,16 @@ func TestReadSlabRunBombLimited(t *testing.T) {
 // from it.
 func TestReadSlabSiteLimit(t *testing.T) {
 	data := encodeEvents(t, []Event{{Site: 1 << 30, Taken: true}})
-	if _, err := ReadSlab(bytes.NewReader(data), DefaultLimits()); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadSlab(data, DefaultLimits()); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("default limits: got %v, want ErrTooLarge", err)
 	}
-	if _, err := ReadSlab(bytes.NewReader(data), Limits{MaxSites: 1 << 30}); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadSlab(data, Limits{MaxSites: 1 << 30}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("site at the cap: got %v, want ErrTooLarge", err)
 	}
-	if _, err := ReadSlab(bytes.NewReader(data), Limits{MaxSites: 1<<30 + 1}); err != nil {
+	if _, err := ReadSlab(data, Limits{MaxSites: 1<<30 + 1}); err != nil {
 		t.Fatalf("site under the cap: %v", err)
 	}
-	if _, err := ReadSlab(bytes.NewReader(data), Limits{}); err != nil {
+	if _, err := ReadSlab(data, Limits{}); err != nil {
 		t.Fatalf("unlimited sites: %v", err)
 	}
 }
@@ -96,7 +117,7 @@ func TestReadSlabSiteOverflow(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString("BLTRACE1")
 	buf.Write(binary.AppendUvarint(nil, (uint64(1)<<40)<<1)) // site 2^40-1
-	_, err := ReadSlab(&buf, Limits{})
+	_, err := ReadSlab(buf.Bytes(), Limits{})
 	if err == nil || errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want an overflow corruption error", err)
 	}
@@ -108,7 +129,7 @@ func TestReadSlabByteLimit(t *testing.T) {
 		events = append(events, Event{Site: int32(i % 97), Taken: i%3 == 0})
 	}
 	data := encodeEvents(t, events)
-	if _, err := ReadSlab(bytes.NewReader(data), Limits{MaxBytes: 64}); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadSlab(data, Limits{MaxBytes: 64}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
 }
@@ -116,7 +137,7 @@ func TestReadSlabByteLimit(t *testing.T) {
 func TestReadSlabTruncated(t *testing.T) {
 	data := encodeEvents(t, []Event{{Site: 0, Taken: true}, {Site: 1, Taken: false}, {Site: 2, Taken: true}})
 	for cut := 0; cut < len(data); cut++ {
-		_, err := ReadSlab(bytes.NewReader(data[:cut]), DefaultLimits())
+		_, err := ReadSlab(data[:cut], DefaultLimits())
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded cleanly", cut, len(data))
 		}
@@ -138,23 +159,31 @@ func FuzzReadSlab(f *testing.F) {
 	f.Add(encodeEvents(f, []Event{{Site: 1 << 28, Taken: true}})) // site bomb
 	lim := Limits{MaxEvents: 4096, MaxSites: 1 << 12, MaxBytes: 1 << 16}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadSlab(bytes.NewReader(data), lim)
+		s, err := ReadSlab(data, lim)
 		if err != nil {
 			return
 		}
 		if s.Len() > lim.MaxEvents {
 			t.Fatalf("accepted %d events past the %d cap", s.Len(), lim.MaxEvents)
 		}
-		s.ReplayRuns(func(site int32, _ bool, _ uint64) {
-			if site >= lim.MaxSites {
-				t.Fatalf("accepted site %d past the %d-site cap", site, lim.MaxSites)
-			}
-		})
+		var max MaxSite
+		s.ReplayInto(&max)
+		if max.N != s.Sites() || max.N > int(lim.MaxSites) {
+			t.Fatalf("accepted sites up to %d (Sites %d) past the %d-site cap", max.N, s.Sites(), lim.MaxSites)
+		}
+		if max.Outcomes != s.Outcomes() {
+			t.Fatalf("MaxSite outcomes %d != Outcomes %d", max.Outcomes, s.Outcomes())
+		}
+		var sum eventSum
+		s.ReplayInto(&sum)
+		if uint64(sum) != s.Len() {
+			t.Fatalf("replayed %d events, Len %d", sum, s.Len())
+		}
 		var buf bytes.Buffer
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatalf("re-encoding accepted slab: %v", err)
 		}
-		s2, err := ReadSlab(bytes.NewReader(buf.Bytes()), lim)
+		s2, err := ReadSlab(buf.Bytes(), lim)
 		if err != nil {
 			t.Fatalf("re-decoding accepted slab: %v", err)
 		}
@@ -164,20 +193,45 @@ func FuzzReadSlab(f *testing.F) {
 	})
 }
 
-// TestReaderLimitsViaNewReader pins that the plain file loader path
-// (NewReader / ReadAll) enforces DefaultLimits rather than being unbounded.
-func TestReaderLimitsViaNewReader(t *testing.T) {
-	r, err := NewReader(bytes.NewReader(encodeEvents(t, []Event{{Site: 0, Taken: true}})))
-	if err != nil {
-		t.Fatal(err)
+// TestReadSlabDefaultLimits pins that the file loader path (ReadSlab
+// under DefaultLimits) decodes an ordinary trace and still refuses the
+// site bomb that DefaultLimits exists for.
+func TestReadSlabDefaultLimits(t *testing.T) {
+	got, err := readAll(encodeEvents(t, []Event{{Site: 0, Taken: true}}))
+	if err != nil || len(got) != 1 {
+		t.Fatalf("got %v, %v", got, err)
 	}
-	if r.lim != DefaultLimits() {
-		t.Fatalf("NewReader limits = %+v, want DefaultLimits", r.lim)
+	lim := DefaultLimits()
+	if _, err := readAll(encodeEvents(t, []Event{{Site: lim.MaxSites, Taken: true}})); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("site at the default cap: got %v, want ErrTooLarge", err)
 	}
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
+}
+
+// TestConcurrentReadSlab is the batch-path shape: many goroutines decode
+// uploads at once, each getting a correct, independent slab.
+func TestConcurrentReadSlab(t *testing.T) {
+	want := []Event{
+		{Site: 0, Taken: true}, {Site: 0, Taken: true}, {Site: 0, Taken: true},
+		{Site: 4, Taken: false}, {Site: 2, Taken: true}, {Site: 2, Taken: false},
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("got %v, want EOF", err)
+	enc := encodeEvents(t, want)
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s, err := ReadSlab(enc, DefaultLimits())
+				if err != nil {
+					t.Errorf("ReadSlab: %v", err)
+					return
+				}
+				if got := s.Events(); !reflect.DeepEqual(got, want) {
+					t.Errorf("decoded %v, want %v", got, want)
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
 }

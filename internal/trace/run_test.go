@@ -3,74 +3,20 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"repro/internal/ir"
 )
 
-// termCapture implements only the legacy Collector interface and records
-// the Term pointers it is handed, so tests can observe the fallback
-// path's Term-synthesis cache.
-type termCapture struct {
-	events []Event
-	terms  map[int32]*ir.Term
-}
-
-func (l *termCapture) Branch(t *ir.Term, taken bool) {
-	l.events = append(l.events, Event{Site: t.Site, Taken: taken})
-	if l.terms == nil {
-		l.terms = map[int32]*ir.Term{}
-	}
-	l.terms[t.Site] = t
-}
-
-// TestReplayIntoLegacyFallback pins the non-SiteCollector fallback: a
-// legacy collector sees the full ordered stream, and all legacy
-// collectors in one replay share a single synthesised-Term cache — the
-// same *ir.Term per site across both collectors — instead of one map
-// each.
-func TestReplayIntoLegacyFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	events := genEvents(rng, 3000)
-	s := recordSlab(events)
-
-	var a, b termCapture
-	s.ReplayInto(&a, &b)
-	for _, l := range []*termCapture{&a, &b} {
-		if len(l.events) != len(events) {
-			t.Fatalf("legacy collector saw %d events, want %d", len(l.events), len(events))
-		}
-		for i, ev := range l.events {
-			if ev != events[i] {
-				t.Fatalf("event %d = %+v, want %+v", i, ev, events[i])
-			}
-		}
-	}
-	if len(a.terms) == 0 {
-		t.Fatal("no terms captured")
-	}
-	for site, ta := range a.terms {
-		if tb := b.terms[site]; tb != ta {
-			t.Fatalf("site %d: collectors got distinct Term pointers %p / %p — term cache not shared", site, ta, tb)
-		}
-		if ta.Op != ir.TermBr || ta.Site != site || ta.Orig != site {
-			t.Fatalf("site %d: bad synthesised term %+v", site, ta)
-		}
-	}
-}
-
-// TestRunCollectorsMatchEventAtATime drives every trace-package collector
-// both event-at-a-time (RecordBranch) and run-at-a-time (RecordRun from
-// ReplayRuns) and requires identical final state — including the Writer,
-// whose two paths must produce byte-identical wire encodings.
+// TestRunCollectorsMatchEventAtATime drives every trace-package sink both
+// event-at-a-time (behind PerEvent) and through the split run-aware replay
+// and requires identical final state — including the Writer, whose two
+// paths must produce byte-identical wire encodings.
 func TestRunCollectorsMatchEventAtATime(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, n := range []int{0, 1, 17, 5000} {
-		events := genEvents(rng, n)
+		events := mixedEvents(n, rng.Int63())
 		s := recordSlab(events)
 
-		evCounts, runCounts := NewCounts(40), NewCounts(40)
-		evLog, runLog := &Log{Max: n / 2}, &Log{Max: n / 2}
 		var evBuf, runBuf bytes.Buffer
 		evW, err := NewWriter(&evBuf)
 		if err != nil {
@@ -80,29 +26,11 @@ func TestRunCollectorsMatchEventAtATime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		for _, ev := range events {
-			evCounts.RecordBranch(ev.Site, ev.Taken)
-			evLog.RecordBranch(ev.Site, ev.Taken)
-			evW.RecordBranch(ev.Site, ev.Taken)
-		}
-		s.ReplayRuns(runCounts.RecordRun)
-		s.ReplayRuns(runLog.RecordRun)
-		s.ReplayRuns(runW.RecordRun)
-
-		for i := range evCounts.Taken {
-			if evCounts.Taken[i] != runCounts.Taken[i] || evCounts.NotTaken[i] != runCounts.NotTaken[i] {
-				t.Fatalf("n=%d site %d: counts diverge", n, i)
-			}
-		}
-		if evLog.Seen != runLog.Seen || len(evLog.Events) != len(runLog.Events) {
-			t.Fatalf("n=%d: log shape diverges: seen %d/%d len %d/%d",
-				n, evLog.Seen, runLog.Seen, len(evLog.Events), len(runLog.Events))
-		}
-		for i := range evLog.Events {
-			if evLog.Events[i] != runLog.Events[i] {
-				t.Fatalf("n=%d: log event %d diverges", n, i)
-			}
+		ev := []Sink{NewCounts(40), &eventList{}, &MaxSite{}, NewTargetCounts(0), NewSlab(0), evW}
+		run := []Sink{NewCounts(40), &eventList{}, &MaxSite{}, NewTargetCounts(0), NewSlab(0), runW}
+		for i := range ev {
+			s.ReplayInto(PerEvent{ev[i]})
+			s.ReplayInto(run[i])
 		}
 		if err := evW.Close(); err != nil {
 			t.Fatal(err)
@@ -110,53 +38,40 @@ func TestRunCollectorsMatchEventAtATime(t *testing.T) {
 		if err := runW.Close(); err != nil {
 			t.Fatal(err)
 		}
+		for i := range ev {
+			if !reflect.DeepEqual(ev[i], run[i]) {
+				t.Fatalf("n=%d: %T diverges between per-event and run-aware replay", n, ev[i])
+			}
+		}
 		if !bytes.Equal(evBuf.Bytes(), runBuf.Bytes()) {
 			t.Fatalf("n=%d: writer encodings diverge (%d vs %d bytes)", n, evBuf.Len(), runBuf.Len())
 		}
 	}
 }
 
-// TestMultiFusedIntoSinglePass pins satellite "fuse Multi fan-out":
-// passing a Multi (even nested) to ReplayInto must behave exactly like
-// passing the members individually, and a run-aware member inside the
-// Multi must end bit-identical to a directly-replayed twin.
+// TestMultiFusedIntoSinglePass: replaying into a Multi (even nested) must
+// leave every member exactly as a direct replay into it would.
 func TestMultiFusedIntoSinglePass(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	events := genEvents(rng, 4000)
+	events := mixedEvents(4000, 23)
 	s := recordSlab(events)
 
-	viaMulti := []Collector{NewCounts(40), &Log{}, &termCapture{}}
-	direct := []Collector{NewCounts(40), &Log{}, &termCapture{}}
+	viaMulti := []Sink{NewCounts(40), &eventList{}, NewTargetCounts(0)}
+	direct := []Sink{NewCounts(40), &eventList{}, NewTargetCounts(0)}
 	s.ReplayInto(Multi{viaMulti[0], Multi{viaMulti[1], viaMulti[2]}})
-	s.ReplayInto(direct...)
-
-	mc, dc := viaMulti[0].(*Counts), direct[0].(*Counts)
-	for i := range mc.Taken {
-		if mc.Taken[i] != dc.Taken[i] || mc.NotTaken[i] != dc.NotTaken[i] {
-			t.Fatalf("site %d: counts diverge through Multi", i)
+	for _, d := range direct {
+		s.ReplayInto(d)
+	}
+	for i := range direct {
+		if !reflect.DeepEqual(viaMulti[i], direct[i]) {
+			t.Fatalf("%T diverges through Multi", direct[i])
 		}
 	}
-	ml, dl := viaMulti[1].(*Log), direct[1].(*Log)
-	if ml.Seen != dl.Seen || len(ml.Events) != len(dl.Events) {
-		t.Fatalf("log shape diverges through Multi")
-	}
-	for i := range ml.Events {
-		if ml.Events[i] != dl.Events[i] {
-			t.Fatalf("log event %d diverges through Multi", i)
-		}
-	}
-	mt, dt := viaMulti[2].(*termCapture), direct[2].(*termCapture)
-	if len(mt.events) != len(dt.events) {
-		t.Fatalf("legacy member saw %d events through Multi, want %d", len(mt.events), len(dt.events))
-	}
-	for i := range mt.events {
-		if mt.events[i] != dt.events[i] {
-			t.Fatalf("legacy event %d diverges through Multi", i)
-		}
+	if got := *direct[1].(*eventList); !reflect.DeepEqual([]Event(got), events) {
+		t.Fatal("direct replay lost event order or kinds")
 	}
 }
 
-// TestMaxSite covers the site-scan collector on all three entry points.
+// TestMaxSite covers the site-scan sink on all three entry points.
 func TestMaxSite(t *testing.T) {
 	var m MaxSite
 	if m.N != 0 {
@@ -164,98 +79,12 @@ func TestMaxSite(t *testing.T) {
 	}
 	m.RecordBranch(3, true)
 	m.RecordRun(7, false, 100)
-	m.Branch(&ir.Term{Op: ir.TermBr, Site: 5}, true)
+	m.RecordBranch(5, true)
 	if m.N != 8 {
 		t.Fatalf("MaxSite = %d, want 8", m.N)
 	}
-	shard := m.NewShard()
-	shard.RecordRun(11, true, 1)
-	m.Merge(shard)
+	m.RecordSwitch(11, 2, 1)
 	if m.N != 12 {
-		t.Fatalf("merged MaxSite = %d, want 12", m.N)
-	}
-}
-
-// TestReplayPartitionedMatchesSinglePass: for stream sizes straddling the
-// partition threshold and worker counts beyond the checkpoint supply,
-// partitioned replay of sharded collectors must be bit-identical to the
-// fused single pass.
-func TestReplayPartitionedMatchesSinglePass(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for _, n := range []int{100, minPartition - 1, minPartition, 3 * minPartition, 200_000} {
-		events := genEvents(rng, n)
-		s := recordSlab(events)
-		want := NewCounts(40)
-		s.ReplayInto(want)
-		for _, workers := range []int{1, 2, 3, 7, 64} {
-			got := NewCounts(40)
-			max := &MaxSite{}
-			s.ReplayPartitioned(workers, got, max)
-			for i := range want.Taken {
-				if want.Taken[i] != got.Taken[i] || want.NotTaken[i] != got.NotTaken[i] {
-					t.Fatalf("n=%d workers=%d site %d: %d/%d want %d/%d", n, workers, i,
-						got.Taken[i], got.NotTaken[i], want.Taken[i], want.NotTaken[i])
-				}
-			}
-			wantMax := &MaxSite{}
-			s.ReplayInto(wantMax)
-			if max.N != wantMax.N {
-				t.Fatalf("n=%d workers=%d: MaxSite %d want %d", n, workers, max.N, wantMax.N)
-			}
-		}
-	}
-}
-
-// TestReplayPartitionedFallsBackForUnsharded: a collector without shard
-// support must still get the full, ordered stream.
-func TestReplayPartitionedFallsBackForUnsharded(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	events := genEvents(rng, 2*minPartition)
-	s := recordSlab(events)
-	l := &Log{}
-	s.ReplayPartitioned(8, l)
-	if len(l.Events) != len(events) {
-		t.Fatalf("fallback saw %d events, want %d", len(l.Events), len(events))
-	}
-	for i, ev := range l.Events {
-		if ev != events[i] {
-			t.Fatalf("fallback event %d out of order", i)
-		}
-	}
-}
-
-// TestSlabSegmentsCoverStream checks the checkpoint machinery directly:
-// segments must tile the buffer exactly, each must start at a plain event
-// code, and their decoded event counts must sum to the slab's length.
-func TestSlabSegmentsCoverStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	events := genEvents(rng, 150_000)
-	s := recordSlab(events)
-	for _, workers := range []int{2, 3, 5, 16} {
-		segs := s.segments(workers)
-		if len(segs) > workers {
-			t.Fatalf("workers=%d: %d segments", workers, len(segs))
-		}
-		var total uint64
-		off := 0
-		for si, seg := range segs {
-			if len(seg) == 0 {
-				t.Fatalf("workers=%d: empty segment %d", workers, si)
-			}
-			if &seg[0] != &s.buf[off] {
-				t.Fatalf("workers=%d: segment %d does not start where segment %d ended", workers, si, si-1)
-			}
-			if seg[0] < 0x80 && seg[0] == 1 {
-				t.Fatalf("workers=%d: segment %d starts with a run marker", workers, si)
-			}
-			replayRunBytes(seg, func(_ int32, _ bool, n uint64) { total += n }, func(_, _ int32, n uint64) { total += n })
-			off += len(seg)
-		}
-		if off != len(s.buf) {
-			t.Fatalf("workers=%d: segments cover %d of %d bytes", workers, off, len(s.buf))
-		}
-		if total != s.Len() {
-			t.Fatalf("workers=%d: segments decode %d events, want %d", workers, total, s.Len())
-		}
+		t.Fatalf("MaxSite after a switch = %d, want 12", m.N)
 	}
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // sealedMagic heads the sealed-slab container: the varint+RLE event bytes
-// of a sealed Slab plus its replay checkpoints, in a form that can be
-// handed back to OpenSealed without re-encoding. The trailing digits
-// version the layout; a reader seeing an unknown magic must refuse rather
-// than guess.
-const sealedMagic = "BLSLAB01"
+// of a sealed Slab in a form that can be handed back to OpenSealed without
+// re-encoding. The trailing digits version the layout; a reader seeing an
+// unknown magic must refuse rather than guess.
+const sealedMagic = "BLSLAB02"
 
 // sealedCRCSize is the trailing IEEE CRC-32 of the event bytes.
 const sealedCRCSize = 4
@@ -20,8 +19,6 @@ const sealedCRCSize = 4
 // Layout after the magic:
 //
 //	uvarint n            total event count
-//	uvarint len(cks)     checkpoint count
-//	len(cks) × { uvarint off, uvarint done }
 //	uvarint len(buf)     encoded event bytes
 //	buf                  the varint+RLE event stream
 //	crc32(buf)           4 bytes little-endian, IEEE polynomial
@@ -33,16 +30,7 @@ const sealedCRCSize = 4
 // SealedSize returns the encoded size of the sealed container.
 func (s *Slab) SealedSize() int {
 	s.mustSealed("SealedSize")
-	n := len(sealedMagic)
-	n += uvarintLen(s.n)
-	n += uvarintLen(uint64(len(s.cks)))
-	for _, ck := range s.cks {
-		n += uvarintLen(uint64(ck.off)) + uvarintLen(ck.done)
-	}
-	n += uvarintLen(uint64(len(s.buf)))
-	n += len(s.buf)
-	n += sealedCRCSize
-	return n
+	return len(sealedMagic) + uvarintLen(s.n) + uvarintLen(uint64(len(s.buf))) + len(s.buf) + sealedCRCSize
 }
 
 func uvarintLen(v uint64) int {
@@ -60,11 +48,6 @@ func (s *Slab) AppendSealed(dst []byte) []byte {
 	s.mustSealed("AppendSealed")
 	dst = append(dst, sealedMagic...)
 	dst = binary.AppendUvarint(dst, s.n)
-	dst = binary.AppendUvarint(dst, uint64(len(s.cks)))
-	for _, ck := range s.cks {
-		dst = binary.AppendUvarint(dst, uint64(ck.off))
-		dst = binary.AppendUvarint(dst, ck.done)
-	}
 	dst = binary.AppendUvarint(dst, uint64(len(s.buf)))
 	dst = append(dst, s.buf...)
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(s.buf))
@@ -83,6 +66,16 @@ func (s *Slab) WriteSealedTo(w io.Writer) (int64, error) {
 // of the disk tier. The caller must keep data immutable and alive for as
 // long as the slab is used (a *diskstore.Mapped does both). The decode is
 // alignment-safe: only byte loads touch data.
+//
+// Beyond magic, lengths and CRC, one pass of the general decode loop
+// validates the event stream, so replaying an opened slab cannot fail:
+// malformed varints, a footer code 0, a run marker before any event, and
+// an event total other than the header's are all rejected. The same pass
+// sets Sites and Outcomes, which a caller checks against the tables it
+// will replay into: sites and outcomes are otherwise bounded only by
+// int32. The header
+// varints must be minimal and the container must end at the CRC, so an
+// accepted container re-encodes byte-identically through AppendSealed.
 func OpenSealed(data []byte) (*Slab, error) {
 	if len(data) < len(sealedMagic) || string(data[:len(sealedMagic)]) != sealedMagic {
 		return nil, fmt.Errorf("trace: sealed slab: bad magic")
@@ -90,8 +83,8 @@ func OpenSealed(data []byte) (*Slab, error) {
 	i := len(sealedMagic)
 	next := func(what string) (uint64, error) {
 		v, k := binary.Uvarint(data[i:])
-		if k <= 0 {
-			return 0, fmt.Errorf("trace: sealed slab: truncated %s at byte %d", what, i)
+		if k <= 0 || k != uvarintLen(v) {
+			return 0, fmt.Errorf("trace: sealed slab: malformed %s at byte %d", what, i)
 		}
 		i += k
 		return v, nil
@@ -100,53 +93,28 @@ func OpenSealed(data []byte) (*Slab, error) {
 	if err != nil {
 		return nil, err
 	}
-	nck, err := next("checkpoint count")
-	if err != nil {
-		return nil, err
-	}
-	// A checkpoint costs ≥2 bytes encoded, so nck is bounded by the input;
-	// reject absurd counts before allocating.
-	if nck > uint64(len(data))/2 {
-		return nil, fmt.Errorf("trace: sealed slab: checkpoint count %d exceeds input", nck)
-	}
-	cks := make([]slabCk, 0, nck)
-	var prevOff, prevDone uint64
-	for k := uint64(0); k < nck; k++ {
-		off, err := next("checkpoint offset")
-		if err != nil {
-			return nil, err
-		}
-		done, err := next("checkpoint count")
-		if err != nil {
-			return nil, err
-		}
-		if k > 0 && (off <= prevOff || done <= prevDone) {
-			return nil, fmt.Errorf("trace: sealed slab: checkpoints not increasing at %d", k)
-		}
-		prevOff, prevDone = off, done
-		cks = append(cks, slabCk{off: int(off), done: done})
-	}
 	blen, err := next("event bytes length")
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(data)-i) < blen+sealedCRCSize {
-		return nil, fmt.Errorf("trace: sealed slab: %d event bytes claimed, %d available", blen, len(data)-i)
+	if rest := uint64(len(data) - i); blen > rest || rest-blen != sealedCRCSize {
+		return nil, fmt.Errorf("trace: sealed slab: %d event bytes claimed, %d bytes follow", blen, rest)
 	}
 	buf := data[i : i+int(blen) : i+int(blen)]
-	i += int(blen)
-	want := binary.LittleEndian.Uint32(data[i:])
+	want := binary.LittleEndian.Uint32(data[i+int(blen):])
 	if got := crc32.ChecksumIEEE(buf); got != want {
 		return nil, fmt.Errorf("trace: sealed slab: crc mismatch %08x != %08x", got, want)
 	}
-	for _, ck := range cks {
-		if ck.off >= len(buf) || ck.done >= n {
-			return nil, fmt.Errorf("trace: sealed slab: checkpoint (%d,%d) out of range", ck.off, ck.done)
-		}
+	var sites MaxSite
+	got, foot, err := decode(buf, &sites, n)
+	if err != nil {
+		return nil, fmt.Errorf("trace: sealed slab: %w", err)
 	}
-	var lastCk uint64
-	if len(cks) > 0 {
-		lastCk = cks[len(cks)-1].done
+	if foot != 0 {
+		return nil, fmt.Errorf("trace: sealed slab: footer code inside the event stream at byte %d", foot-1)
 	}
-	return &Slab{buf: buf, n: n, sealed: true, cks: cks, lastCk: lastCk}, nil
+	if got != n {
+		return nil, fmt.Errorf("trace: sealed slab: %d events decoded, header says %d", got, n)
+	}
+	return &Slab{buf: buf, n: n, sites: sites.N, outcomes: sites.Outcomes, sealed: true}, nil
 }

@@ -2,135 +2,25 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
-	"sync"
-
-	"repro/internal/ir"
 )
-
-// SiteCollector is the replay-side collector contract: events arrive as a
-// bare (site, taken) pair with no *ir.Term. Every collector in this
-// repository implements it next to Collector; replaying through
-// RecordBranch skips both the Term synthesis and the interface indirection
-// of the live hook path.
-type SiteCollector interface {
-	RecordBranch(site int32, taken bool)
-}
-
-// RecordBranch implements SiteCollector.
-func (l *Log) RecordBranch(site int32, taken bool) {
-	l.Seen++
-	if l.Max != 0 && len(l.Events) >= l.Max {
-		return
-	}
-	l.Events = append(l.Events, Event{Site: site, Taken: taken})
-}
-
-// RecordSwitch implements SwitchCollector.
-func (l *Log) RecordSwitch(site, outcome int32) {
-	l.Seen++
-	if l.Max != 0 && len(l.Events) >= l.Max {
-		return
-	}
-	l.Events = append(l.Events, Event{Site: site, Switch: true, Outcome: outcome})
-}
-
-// RecordSwitchRun implements SwitchRunCollector; Seen counts the whole run
-// even when the cap truncates the stored events.
-func (l *Log) RecordSwitchRun(site, outcome int32, n uint64) {
-	l.Seen += n
-	for ; n > 0; n-- {
-		if l.Max != 0 && len(l.Events) >= l.Max {
-			return
-		}
-		l.Events = append(l.Events, Event{Site: site, Switch: true, Outcome: outcome})
-	}
-}
-
-// RecordBranch implements SiteCollector.
-func (c *Counts) RecordBranch(site int32, taken bool) {
-	if taken {
-		c.Taken[site]++
-	} else {
-		c.NotTaken[site]++
-	}
-}
-
-// AddRun accumulates a run of n identical outcomes at once (the run-length
-// fast path used when replaying a Slab into plain counts).
-func (c *Counts) AddRun(site int32, taken bool, n uint64) {
-	if taken {
-		c.Taken[site] += n
-	} else {
-		c.NotTaken[site] += n
-	}
-}
-
-// RecordBranch implements SiteCollector, fanning out to every member. For
-// sustained multi-collector streams prefer a Batcher, which resolves each
-// member's fast path once instead of per event.
-func (m Multi) RecordBranch(site int32, taken bool) {
-	for _, c := range m {
-		if sc, ok := c.(SiteCollector); ok {
-			sc.RecordBranch(site, taken)
-		} else {
-			t := ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-			c.Branch(&t, taken)
-		}
-	}
-}
-
-// RecordSwitch implements SwitchCollector, fanning the event out to the
-// members that understand switch events; the rest see only branches.
-func (m Multi) RecordSwitch(site, outcome int32) {
-	for _, c := range m {
-		if sw, ok := c.(SwitchCollector); ok {
-			sw.RecordSwitch(site, outcome)
-		}
-	}
-}
-
-// RecordSwitchRun implements SwitchRunCollector.
-func (m Multi) RecordSwitchRun(site, outcome int32, n uint64) {
-	for _, c := range m {
-		recordSwitchRunOn(c, site, outcome, n)
-	}
-}
 
 // Slab is the record-once/replay-many in-memory branch trace: the event
 // stream of one interpreted run, encoded with the same varint+RLE scheme as
 // the on-disk format (Writer), so two million branch events occupy a few
-// hundred kilobytes to a few megabytes. A Slab is recorded by the
-// interpreter's fast-path hook (interp.Machine.Rec), sealed, cached as an
-// immutable artifact, and then replayed into any number of collectors at
+// hundred kilobytes to a few megabytes. A Slab is recorded through its
+// Sink methods by the interpreter (interp.Machine.Rec), sealed, cached as
+// an immutable artifact, and then replayed into any number of sinks at
 // memory-bandwidth speed — no interpreter dispatch per event.
 type Slab struct {
-	buf    []byte
-	last   uint64
-	run    uint64
-	n      uint64
-	sealed bool
-	cks    []slabCk
-	lastCk uint64
+	buf      []byte
+	last     uint64
+	run      uint64
+	n        uint64
+	sites    int
+	outcomes int
+	sealed   bool
 }
-
-// slabCk is an RLE-aligned replay checkpoint: buf[off:] starts with a
-// self-contained code — a plain event or a switch escape, never a bare run
-// marker, which would need the previous event's state — with done events
-// encoded before it. Record drops one roughly every ckEvery events;
-// ReplayPartitioned splits the stream at them so each segment decodes
-// independently.
-type slabCk struct {
-	off  int
-	done uint64
-}
-
-// ckEvery is the checkpoint spacing in events: coarse enough that the
-// recording hot path pays one predictable compare per event and the side
-// table stays a few dozen entries per million events, fine enough to cut
-// any replay-worthy slab into balanced segments.
-const ckEvery = 8192
 
 // NewSlab creates an empty slab. sizeHint is the expected number of events
 // (a branch budget); it pre-sizes the buffer and may be 0.
@@ -145,51 +35,68 @@ func NewSlab(sizeHint int) *Slab {
 	return &Slab{buf: make([]byte, 0, capBytes)}
 }
 
-// Record appends one branch event. It must not be called after Seal.
-func (s *Slab) Record(site int32, taken bool) {
+// RecordBranch implements Sink, appending one branch event. None of the
+// Record methods may be called after Seal.
+func (s *Slab) RecordBranch(site int32, taken bool) {
 	code := (uint64(site)+1)<<1 | b2u(taken)
 	s.n++
 	if code == s.last {
 		s.run++
 		return
 	}
-	if s.run > 0 {
-		s.buf = binary.AppendUvarint(s.buf, 1)
-		s.buf = binary.AppendUvarint(s.buf, s.run)
-		s.run = 0
-	}
-	if s.n-1-s.lastCk >= ckEvery {
-		s.cks = append(s.cks, slabCk{off: len(s.buf), done: s.n - 1})
-		s.lastCk = s.n - 1
-	}
+	s.begin(code, site)
 	s.buf = binary.AppendUvarint(s.buf, code)
-	s.last = code
 }
 
-// RecordSwitch appends one N-way dispatch event as the switch escape
-// (uvarint 1, 0, site+1, outcome). Like Record it must not be called after
-// Seal, and repeats fold into the shared RLE run state.
-func (s *Slab) RecordSwitch(site, outcome int32) {
-	key := swKey(site, outcome)
-	s.n++
-	if key == s.last {
-		s.run++
+// RecordRun implements Sink; the encoding is byte-identical to n
+// RecordBranch calls.
+func (s *Slab) RecordRun(site int32, taken bool, n uint64) {
+	if n == 0 {
 		return
 	}
-	if s.run > 0 {
-		s.buf = binary.AppendUvarint(s.buf, 1)
-		s.buf = binary.AppendUvarint(s.buf, s.run)
-		s.run = 0
+	s.RecordBranch(site, taken)
+	s.n += n - 1
+	s.run += n - 1
+}
+
+// RecordSwitch implements Sink, appending n N-way dispatch events as the
+// switch escape (uvarint 1, 0, site+1, outcome) plus a run. Repeats fold
+// into the same RLE run state as branch events.
+func (s *Slab) RecordSwitch(site, outcome int32, n uint64) {
+	if n == 0 {
+		return
 	}
-	if s.n-1-s.lastCk >= ckEvery {
-		s.cks = append(s.cks, slabCk{off: len(s.buf), done: s.n - 1})
-		s.lastCk = s.n - 1
+	key := swKey(site, outcome)
+	s.n += n
+	if key == s.last {
+		s.run += n
+		return
+	}
+	s.begin(key, site)
+	if int(outcome) >= s.outcomes {
+		s.outcomes = int(outcome) + 1
 	}
 	s.buf = binary.AppendUvarint(s.buf, 1)
 	s.buf = binary.AppendUvarint(s.buf, 0)
 	s.buf = binary.AppendUvarint(s.buf, uint64(site)+1)
 	s.buf = binary.AppendUvarint(s.buf, uint64(outcome))
+	s.run = n - 1
+}
+
+// begin flushes the pending run ahead of a new code and notes its site.
+func (s *Slab) begin(key uint64, site int32) {
+	s.flushRun()
+	if int(site) >= s.sites {
+		s.sites = int(site) + 1
+	}
 	s.last = key
+}
+
+// swKey is the synthetic RLE key for a switch event. Bit 63 keeps it
+// disjoint from every branch event code, whose site field caps the code
+// below 2^33.
+func swKey(site, outcome int32) uint64 {
+	return 1<<63 | uint64(uint32(site))<<32 | uint64(uint32(outcome))
 }
 
 // Seal flushes the pending run and freezes the slab; budget-truncated runs
@@ -200,12 +107,16 @@ func (s *Slab) Seal() {
 	if s.sealed {
 		return
 	}
+	s.flushRun()
+	s.sealed = true
+}
+
+func (s *Slab) flushRun() {
 	if s.run > 0 {
 		s.buf = binary.AppendUvarint(s.buf, 1)
 		s.buf = binary.AppendUvarint(s.buf, s.run)
 		s.run = 0
 	}
-	s.sealed = true
 }
 
 // Len is the number of recorded events.
@@ -214,76 +125,40 @@ func (s *Slab) Len() uint64 { return s.n }
 // EncodedBytes is the size of the encoded event stream.
 func (s *Slab) EncodedBytes() int { return len(s.buf) }
 
-// decodeStep decodes the next code at buf[i:], returning the new offset.
-// A malformed slab is a programming error (slabs are produced in-process
-// by Record), so corruption panics instead of returning an error.
-func decodeUvarint(buf []byte, i int) (uint64, int) {
-	v, k := binary.Uvarint(buf[i:])
-	if k <= 0 {
-		panic(fmt.Sprintf("trace: corrupt slab at byte %d", i))
+// Sites is the highest site ID in the stream plus one, over branch and
+// switch events alike (0 for an empty slab): the smallest per-site table
+// every event fits.
+func (s *Slab) Sites() int { return s.sites }
+
+// Outcomes is the highest switch outcome in the stream plus one (0 without
+// switch events): the row width a TargetCounts replay grows to.
+func (s *Slab) Outcomes() int { return s.outcomes }
+
+// ReplayInto decodes the slab once, feeding every event to sink in order:
+// single events to RecordBranch, repeat runs to RecordRun and switch
+// events to RecordSwitch. Fan out with Multi. A *Counts takes a dedicated
+// loop with no call per event; its tables must cover Sites().
+func (s *Slab) ReplayInto(sink Sink) {
+	s.mustSealed("ReplayInto")
+	if c, ok := sink.(*Counts); ok {
+		replayCounts(s.buf, c)
+		return
 	}
-	return v, i + k
-}
-
-// Replay feeds every recorded conditional-branch event, in order, to fn;
-// switch events are skipped. Use ReplayAll when both kinds matter.
-func (s *Slab) Replay(fn func(site int32, taken bool)) {
-	s.mustSealed("Replay")
-	replayRunBytes(s.buf, func(site int32, taken bool, n uint64) {
-		for ; n > 0; n-- {
-			fn(site, taken)
-		}
-	}, dropSwitchRun)
-}
-
-// ReplayAll feeds every recorded event, in order: conditional branches to
-// fn and switch events to sw.
-func (s *Slab) ReplayAll(fn func(site int32, taken bool), sw func(site, outcome int32)) {
-	s.mustSealed("ReplayAll")
-	replayRunBytes(s.buf, func(site int32, taken bool, n uint64) {
-		for ; n > 0; n-- {
-			fn(site, taken)
-		}
-	}, func(site, outcome int32, n uint64) {
-		for ; n > 0; n-- {
-			sw(site, outcome)
-		}
-	})
-}
-
-// ReplayRuns feeds the branch events as (site, taken, count) runs — the
-// run-length fast path for order-insensitive consumers such as Counts.
-// Consecutive calls may repeat the same (site, taken) pair. Switch events
-// are skipped; use ReplayAllRuns for both kinds.
-func (s *Slab) ReplayRuns(fn func(site int32, taken bool, n uint64)) {
-	s.mustSealed("ReplayRuns")
-	replayRunBytes(s.buf, fn, dropSwitchRun)
-}
-
-// ReplayAllRuns is ReplayRuns with switch runs delivered to sw.
-func (s *Slab) ReplayAllRuns(fn func(site int32, taken bool, n uint64), sw func(site, outcome int32, n uint64)) {
-	s.mustSealed("ReplayAllRuns")
-	replayRunBytes(s.buf, fn, sw)
+	if _, _, err := decode(s.buf, sink, 0); err != nil {
+		// Slabs are recorded in-process or validated by OpenSealed.
+		panic(err)
+	}
 }
 
 // Events decodes the whole slab (tests and small consumers).
 func (s *Slab) Events() []Event {
-	out := make([]Event, 0, s.n)
-	s.mustSealed("Events")
-	replayRunBytes(s.buf, func(site int32, taken bool, n uint64) {
-		for ; n > 0; n-- {
-			out = append(out, Event{Site: site, Taken: taken})
-		}
-	}, func(site, outcome int32, n uint64) {
-		for ; n > 0; n-- {
-			out = append(out, Event{Site: site, Switch: true, Outcome: outcome})
-		}
-	})
+	out := make(eventList, 0, s.n)
+	s.ReplayInto(&out)
 	return out
 }
 
 // WriteTo serialises the slab in the on-disk trace format (header, events,
-// footer); the result round-trips through Reader/ReadAll.
+// footer); the result round-trips through ReadSlab.
 func (s *Slab) WriteTo(w io.Writer) (int64, error) {
 	s.mustSealed("WriteTo")
 	var total int64
@@ -297,10 +172,7 @@ func (s *Slab) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return total, err
 	}
-	var footer [2 * binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(footer[:], 0)
-	k += binary.PutUvarint(footer[k:], s.n)
-	n, err = w.Write(footer[:k])
+	n, err = w.Write(appendFooter(nil, s.n))
 	total += int64(n)
 	return total, err
 }
@@ -308,118 +180,5 @@ func (s *Slab) WriteTo(w io.Writer) (int64, error) {
 func (s *Slab) mustSealed(op string) {
 	if !s.sealed {
 		panic("trace: Slab." + op + " before Seal")
-	}
-}
-
-// eventPool recycles Event slices across runner jobs: Batcher buffers and
-// pooled Logs draw their storage here, so a parallel experiment sweep stops
-// reallocating per-job event storage.
-var eventPool = sync.Pool{
-	New: func() any { return make([]Event, 0, batchSize) },
-}
-
-// batchSize is the Batcher flush threshold: 4096 events (32 KiB) stay well
-// inside L2 while amortising the per-collector dispatch.
-const batchSize = 4096
-
-// NewLog returns a Log whose event slice comes from the shared pool; cap
-// bounds recorded events as Log.Max. Call Release when done with it.
-func NewLog(max int) *Log {
-	return &Log{Events: eventPool.Get().([]Event)[:0], Max: max}
-}
-
-// Release returns the log's event slice to the pool. The Log must not be
-// used afterwards.
-func (l *Log) Release() {
-	if l.Events != nil {
-		eventPool.Put(l.Events[:0])
-		l.Events = nil
-	}
-}
-
-// Batcher is the live-path answer to per-branch fan-out cost: it buffers
-// events and flushes them collector-by-collector in batches, so a hot
-// interpreter loop pays one append per branch instead of one interface
-// call per collector per branch. Event order per collector is preserved,
-// and collectors are independent, so results are identical to unbatched
-// Multi dispatch. Flush must be called after the run (bench.runProgram
-// does); Release returns the buffer to the shared pool.
-type Batcher struct {
-	fns   []func(int32, bool)
-	swFns []func(int32, int32)
-	buf   []Event
-}
-
-// NewBatcher wraps the collectors, resolving each one's fast path once.
-func NewBatcher(cs ...Collector) *Batcher {
-	b := &Batcher{buf: eventPool.Get().([]Event)[:0]}
-	b.fns = make([]func(int32, bool), len(cs))
-	b.swFns = make([]func(int32, int32), len(cs))
-	for i, c := range cs {
-		if sc, ok := c.(SiteCollector); ok {
-			b.fns[i] = sc.RecordBranch
-		} else {
-			c := c
-			terms := map[int32]*ir.Term{}
-			b.fns[i] = func(site int32, taken bool) {
-				t := terms[site]
-				if t == nil {
-					t = &ir.Term{Op: ir.TermBr, Site: site, Orig: site}
-					terms[site] = t
-				}
-				c.Branch(t, taken)
-			}
-		}
-		if sw, ok := c.(SwitchCollector); ok {
-			b.swFns[i] = sw.RecordSwitch
-		} else {
-			b.swFns[i] = dropSwitch
-		}
-	}
-	return b
-}
-
-// Branch implements Collector.
-func (b *Batcher) Branch(t *ir.Term, taken bool) { b.RecordBranch(t.Site, taken) }
-
-// RecordBranch implements SiteCollector.
-func (b *Batcher) RecordBranch(site int32, taken bool) {
-	b.buf = append(b.buf, Event{Site: site, Taken: taken})
-	if len(b.buf) >= batchSize {
-		b.Flush()
-	}
-}
-
-// RecordSwitch implements SwitchCollector: switch events ride the same
-// buffer, so per-collector order across the two kinds is preserved.
-func (b *Batcher) RecordSwitch(site, outcome int32) {
-	b.buf = append(b.buf, Event{Site: site, Switch: true, Outcome: outcome})
-	if len(b.buf) >= batchSize {
-		b.Flush()
-	}
-}
-
-// Flush drains the buffer into every collector.
-func (b *Batcher) Flush() {
-	for ci, fn := range b.fns {
-		sw := b.swFns[ci]
-		for i := range b.buf {
-			if b.buf[i].Switch {
-				sw(b.buf[i].Site, b.buf[i].Outcome)
-			} else {
-				fn(b.buf[i].Site, b.buf[i].Taken)
-			}
-		}
-	}
-	b.buf = b.buf[:0]
-}
-
-// Release flushes and returns the buffer to the pool. The Batcher must not
-// be used afterwards.
-func (b *Batcher) Release() {
-	b.Flush()
-	if b.buf != nil {
-		eventPool.Put(b.buf[:0])
-		b.buf = nil
 	}
 }

@@ -3,9 +3,8 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"repro/internal/ir"
 )
 
 // genEvents produces a stream with long runs (loop-shaped) and random
@@ -26,10 +25,15 @@ func genEvents(rng *rand.Rand, n int) []Event {
 	return out
 }
 
+// recordSlab records events, branch and switch alike, into a sealed slab.
 func recordSlab(events []Event) *Slab {
 	s := NewSlab(len(events))
 	for _, ev := range events {
-		s.Record(ev.Site, ev.Taken)
+		if ev.Switch {
+			s.RecordSwitch(ev.Site, ev.Outcome, 1)
+		} else {
+			s.RecordBranch(ev.Site, ev.Taken)
+		}
 	}
 	s.Seal()
 	return s
@@ -58,24 +62,43 @@ func TestSlabRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestSlabReplayRunsMatchesReplay pins the split dispatch: the runs a
+// replay delivers expand to exactly the recorded events, and real runs
+// arrive as RecordRun calls rather than one call per event.
 func TestSlabReplayRunsMatchesReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	events := genEvents(rng, 5000)
 	s := recordSlab(events)
-	var flat []Event
-	s.ReplayRuns(func(site int32, taken bool, n uint64) {
-		for ; n > 0; n-- {
-			flat = append(flat, Event{Site: site, Taken: taken})
-		}
-	})
-	if len(flat) != len(events) {
-		t.Fatalf("ReplayRuns expanded to %d events, want %d", len(flat), len(events))
+	var rc runCounter
+	s.ReplayInto(&rc)
+	if !reflect.DeepEqual([]Event(rc.events), events) {
+		t.Fatalf("runs expanded to %d events, want the %d recorded", len(rc.events), len(events))
 	}
-	for i := range events {
-		if flat[i] != events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, flat[i], events[i])
-		}
+	if rc.runs == 0 || rc.calls >= len(events) {
+		t.Fatalf("%d calls (%d runs) for %d events: runs not delivered whole", rc.calls, rc.runs, len(events))
 	}
+}
+
+// runCounter records a replay's events and how they arrived.
+type runCounter struct {
+	events      eventList
+	calls, runs int
+}
+
+func (r *runCounter) RecordBranch(site int32, taken bool) {
+	r.calls++
+	r.events.RecordBranch(site, taken)
+}
+
+func (r *runCounter) RecordRun(site int32, taken bool, n uint64) {
+	r.calls++
+	r.runs++
+	r.events.RecordRun(site, taken, n)
+}
+
+func (r *runCounter) RecordSwitch(site, outcome int32, n uint64) {
+	r.calls++
+	r.events.RecordSwitch(site, outcome, n)
 }
 
 func TestSlabWriteToReaderRoundTrip(t *testing.T) {
@@ -87,7 +110,7 @@ func TestSlabWriteToReaderRoundTrip(t *testing.T) {
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadAll(&buf)
+		got, err := readAll(buf.Bytes())
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -136,108 +159,54 @@ func TestSlabReplayBeforeSealPanics(t *testing.T) {
 		}
 	}()
 	s := NewSlab(0)
-	s.Record(0, true)
-	s.Replay(func(int32, bool) {})
+	s.RecordBranch(0, true)
+	s.ReplayInto(NewCounts(1))
 }
 
 func TestSlabReplayInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	events := genEvents(rng, 2000)
 	s := recordSlab(events)
-	// One SiteCollector, one Collector-only consumer: both must see the
-	// full ordered stream.
-	counts := NewCounts(40)
-	var termOnly termLog
-	s.ReplayInto(counts, &termOnly)
-	var wantTaken, wantNot uint64
+	// The *Counts loop and the general loop, in one Multi and alone, must
+	// both see the full ordered stream.
+	counts, alone := NewCounts(40), NewCounts(40)
+	var list eventList
+	s.ReplayInto(Multi{counts, &list})
+	s.ReplayInto(alone)
+	want := NewCounts(40)
 	for _, ev := range events {
-		if ev.Taken {
-			wantTaken++
-		} else {
-			wantNot++
-		}
+		want.RecordBranch(ev.Site, ev.Taken)
 	}
-	var gotTaken, gotNot uint64
-	for i := range counts.Taken {
-		gotTaken += counts.Taken[i]
-		gotNot += counts.NotTaken[i]
+	if !reflect.DeepEqual(counts, want) || !reflect.DeepEqual(alone, want) {
+		t.Fatal("replayed counts differ from the recorded events")
 	}
-	if gotTaken != wantTaken || gotNot != wantNot {
-		t.Fatalf("counts %d/%d, want %d/%d", gotTaken, gotNot, wantTaken, wantNot)
-	}
-	if len(termOnly.events) != len(events) {
-		t.Fatalf("term-only collector saw %d events, want %d", len(termOnly.events), len(events))
-	}
-	for i, ev := range termOnly.events {
-		if ev != events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, ev, events[i])
-		}
+	if !reflect.DeepEqual([]Event(list), events) {
+		t.Fatalf("event list saw %d events, want %d in order", len(list), len(events))
 	}
 }
 
-// termLog implements only the legacy Collector interface, exercising the
-// Term-synthesis fallback of ReplayInto and Batcher.
-type termLog struct {
-	events []Event
-}
-
-func (l *termLog) Branch(t *ir.Term, taken bool) {
-	l.events = append(l.events, Event{Site: t.Site, Taken: taken})
-}
-
-func TestBatcherEquivalentToMulti(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	events := genEvents(rng, 3*batchSize+17) // cross several flush boundaries
-	nSites := int32(40)
-
-	direct := []Collector{NewCounts(int(nSites)), &Log{}, &termLog{}}
-	batched := []Collector{NewCounts(int(nSites)), &Log{}, &termLog{}}
-	multi := Multi(direct)
-	b := NewBatcher(batched...)
-	for _, ev := range events {
-		tm := ir.Term{Op: ir.TermBr, Site: ev.Site, Orig: ev.Site}
-		multi.Branch(&tm, ev.Taken)
-		b.Branch(&tm, ev.Taken)
-	}
-	b.Release()
-
-	dc, bc := direct[0].(*Counts), batched[0].(*Counts)
-	for i := range dc.Taken {
-		if dc.Taken[i] != bc.Taken[i] || dc.NotTaken[i] != bc.NotTaken[i] {
-			t.Fatalf("site %d: counts diverge", i)
+// TestMultiMatchesSeparateSinks pins live fan-out: driving a Multi event by
+// event and run by run leaves each member exactly as driving it alone.
+func TestMultiMatchesSeparateSinks(t *testing.T) {
+	events := mixedEvents(20_000, 12)
+	direct := []Sink{NewCounts(8), &eventList{}, NewTargetCounts(0)}
+	fanned := []Sink{NewCounts(8), &eventList{}, NewTargetCounts(0)}
+	multi := Multi(fanned)
+	for i, ev := range events {
+		for _, sink := range append([]Sink{multi}, direct...) {
+			switch {
+			case ev.Switch:
+				sink.RecordSwitch(ev.Site, ev.Outcome, 1)
+			case i%2 == 0:
+				sink.RecordBranch(ev.Site, ev.Taken)
+			default:
+				sink.RecordRun(ev.Site, ev.Taken, 1)
+			}
 		}
 	}
-	dl, bl := direct[1].(*Log), batched[1].(*Log)
-	if len(dl.Events) != len(bl.Events) {
-		t.Fatalf("log lengths diverge: %d vs %d", len(dl.Events), len(bl.Events))
-	}
-	for i := range dl.Events {
-		if dl.Events[i] != bl.Events[i] {
-			t.Fatalf("log event %d diverges", i)
+	for i := range direct {
+		if !reflect.DeepEqual(direct[i], fanned[i]) {
+			t.Fatalf("%T diverges through Multi", direct[i])
 		}
 	}
-	dt, bt := direct[2].(*termLog), batched[2].(*termLog)
-	if len(dt.events) != len(bt.events) {
-		t.Fatalf("term log lengths diverge: %d vs %d", len(dt.events), len(bt.events))
-	}
-	for i := range dt.events {
-		if dt.events[i] != bt.events[i] {
-			t.Fatalf("term log event %d diverges", i)
-		}
-	}
-}
-
-func TestPooledLogRelease(t *testing.T) {
-	l := NewLog(10)
-	for i := 0; i < 20; i++ {
-		l.RecordBranch(int32(i%3), i%2 == 0)
-	}
-	if len(l.Events) != 10 || l.Seen != 20 {
-		t.Fatalf("events=%d seen=%d", len(l.Events), l.Seen)
-	}
-	l.Release()
-	if l.Events != nil {
-		t.Fatal("Release must clear the slice")
-	}
-	l.Release() // idempotent
 }

@@ -1,64 +1,9 @@
 package trace
 
-import "repro/internal/ir"
-
-// SwitchCollector consumes one N-way dispatch event at a time: site is the
-// switch's prediction site (dense with conditional-branch sites) and
-// outcome the selected successor index — case index v for 0 <= v <
-// len(Targets), len(Targets) for the default arm. Collectors that do not
-// implement it simply never see switch events.
-type SwitchCollector interface {
-	RecordSwitch(site, outcome int32)
-}
-
-// SwitchRunCollector is the run-aware switch contract, mirroring
-// RunCollector: RecordSwitchRun(s, o, n) must leave the collector in a
-// state identical to n consecutive RecordSwitch(s, o) calls.
-type SwitchRunCollector interface {
-	RecordSwitchRun(site, outcome int32, n uint64)
-}
-
-// dropSwitch and dropSwitchRun are the resolved entry points for
-// collectors without switch support; the decode loops still track switch
-// state (for run markers) but the events go nowhere.
-func dropSwitch(int32, int32)            {}
-func dropSwitchRun(int32, int32, uint64) {}
-
-// recordSwitchRunOn delivers one switch run to a collector of unknown
-// concrete type, silently dropping it when the collector has no switch
-// entry point.
-func recordSwitchRunOn(c Collector, site, outcome int32, n uint64) {
-	switch c := c.(type) {
-	case SwitchRunCollector:
-		c.RecordSwitchRun(site, outcome, n)
-	case SwitchCollector:
-		for ; n > 0; n-- {
-			c.RecordSwitch(site, outcome)
-		}
-	}
-}
-
-// switchRunFn resolves a value's fastest switch-run entry point, or the
-// drop stub when it has none. The replay fan-outs resolve once per
-// collector instead of type-switching per event.
-func switchRunFn(v any) func(site, outcome int32, n uint64) {
-	switch c := v.(type) {
-	case SwitchRunCollector:
-		return c.RecordSwitchRun
-	case SwitchCollector:
-		return func(site, outcome int32, n uint64) {
-			for ; n > 0; n-- {
-				c.RecordSwitch(site, outcome)
-			}
-		}
-	}
-	return dropSwitchRun
-}
-
 // TargetCounts accumulates per-site switch outcome histograms — the
 // profiling requirement of the case-clustering transform, which needs the
-// frequency ranking of each hot switch's targets. It is order-insensitive,
-// so it shards; binary branch events pass through it untouched.
+// frequency ranking of each hot switch's targets. Binary branch events
+// pass through it untouched.
 type TargetCounts struct {
 	// Sites[site][outcome] is the number of times the switch at site
 	// selected outcome. Rows grow on demand, so a site that never ran, or
@@ -72,22 +17,14 @@ func NewTargetCounts(nSites int) *TargetCounts {
 	return &TargetCounts{Sites: make([][]uint64, nSites)}
 }
 
-// Branch implements Collector as a no-op: only switch events matter here.
-func (c *TargetCounts) Branch(*ir.Term, bool) {}
-
-// RecordBranch implements SiteCollector as a no-op.
+// RecordBranch implements Sink as a no-op: only switch events matter here.
 func (c *TargetCounts) RecordBranch(int32, bool) {}
 
-// RecordRun implements RunCollector as a no-op.
+// RecordRun implements Sink as a no-op.
 func (c *TargetCounts) RecordRun(int32, bool, uint64) {}
 
-// RecordSwitch implements SwitchCollector.
-func (c *TargetCounts) RecordSwitch(site, outcome int32) {
-	c.RecordSwitchRun(site, outcome, 1)
-}
-
-// RecordSwitchRun implements SwitchRunCollector.
-func (c *TargetCounts) RecordSwitchRun(site, outcome int32, n uint64) {
+// RecordSwitch implements Sink.
+func (c *TargetCounts) RecordSwitch(site, outcome int32, n uint64) {
 	for int(site) >= len(c.Sites) {
 		c.Sites = append(c.Sites, nil)
 	}
@@ -97,21 +34,6 @@ func (c *TargetCounts) RecordSwitchRun(site, outcome int32, n uint64) {
 	}
 	row[outcome] += n
 	c.Sites[site] = row
-}
-
-// NewShard implements Sharded.
-func (c *TargetCounts) NewShard() RunCollector { return NewTargetCounts(len(c.Sites)) }
-
-// Merge implements Sharded.
-func (c *TargetCounts) Merge(shard RunCollector) {
-	o := shard.(*TargetCounts)
-	for site, row := range o.Sites {
-		for outcome, n := range row {
-			if n > 0 {
-				c.RecordSwitchRun(int32(site), int32(outcome), n)
-			}
-		}
-	}
 }
 
 // Total returns the number of switch events recorded for site.

@@ -30,23 +30,11 @@ func mixedEvents(n int, seed int64) []Event {
 	return out
 }
 
-func recordAll(s *Slab, events []Event) {
-	for _, ev := range events {
-		if ev.Switch {
-			s.RecordSwitch(ev.Site, ev.Outcome)
-		} else {
-			s.Record(ev.Site, ev.Taken)
-		}
-	}
-	s.Seal()
-}
-
 // TestSwitchSlabRoundTrip pins that a slab with interleaved branch and
 // switch events decodes back to exactly the recorded stream.
 func TestSwitchSlabRoundTrip(t *testing.T) {
 	events := mixedEvents(5000, 1)
-	s := NewSlab(0)
-	recordAll(s, events)
+	s := recordSlab(events)
 	if s.Len() != uint64(len(events)) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(events))
 	}
@@ -66,7 +54,7 @@ func TestSwitchWireRoundTrip(t *testing.T) {
 	}
 	for _, ev := range events {
 		if ev.Switch {
-			w.RecordSwitch(ev.Site, ev.Outcome)
+			w.RecordSwitch(ev.Site, ev.Outcome, 1)
 		} else {
 			w.RecordBranch(ev.Site, ev.Taken)
 		}
@@ -75,7 +63,7 @@ func TestSwitchWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	got, err := readAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +72,7 @@ func TestSwitchWireRoundTrip(t *testing.T) {
 	}
 
 	// The Slab emits the same byte stream for the same events.
-	s := NewSlab(0)
-	recordAll(s, events)
+	s := recordSlab(events)
 	var sb bytes.Buffer
 	if _, err := s.WriteTo(&sb); err != nil {
 		t.Fatal(err)
@@ -95,7 +82,7 @@ func TestSwitchWireRoundTrip(t *testing.T) {
 	}
 
 	// And ReadSlab reconstructs a byte-identical slab.
-	s2, err := ReadSlab(bytes.NewReader(buf.Bytes()), DefaultLimits())
+	s2, err := ReadSlab(buf.Bytes(), DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +97,7 @@ func TestSwitchWireRoundTrip(t *testing.T) {
 func TestConditionalOnlyBytesUnchanged(t *testing.T) {
 	s := NewSlab(0)
 	for i := 0; i < 1000; i++ {
-		s.Record(int32(i%7), i%3 == 0)
+		s.RecordBranch(int32(i%7), i%3 == 0)
 	}
 	s.Seal()
 	for i := 0; i < len(s.buf); {
@@ -128,18 +115,18 @@ func TestConditionalOnlyBytesUnchanged(t *testing.T) {
 }
 
 func uvarintAt(buf []byte, i int) (uint64, int) {
-	v, j := decodeUvarint(buf, i)
+	v, j := mustUvarint(buf, i)
 	return v, j - i
 }
 
-// TestTargetCounts pins the histogram collector, including sharded merge
-// and the deterministic frequency ranking.
+// TestTargetCounts pins the histogram sink and its deterministic
+// frequency ranking.
 func TestTargetCounts(t *testing.T) {
 	tc := NewTargetCounts(2)
-	tc.RecordSwitch(0, 2)
-	tc.RecordSwitchRun(0, 2, 4)
-	tc.RecordSwitchRun(0, 1, 5)
-	tc.RecordSwitch(3, 0) // grows past the hint
+	tc.RecordSwitch(0, 2, 1)
+	tc.RecordSwitch(0, 2, 4)
+	tc.RecordSwitch(0, 1, 5)
+	tc.RecordSwitch(3, 0, 1) // grows past the hint
 	tc.RecordRun(0, true, 100)
 	tc.RecordBranch(1, false)
 	if got := tc.Total(0); got != 10 {
@@ -153,27 +140,18 @@ func TestTargetCounts(t *testing.T) {
 	if rank := tc.Rank(0); !reflect.DeepEqual(rank, want) {
 		t.Fatalf("Rank(0) = %v, want %v", rank, want)
 	}
-
-	sh := tc.NewShard().(*TargetCounts)
-	sh.RecordSwitchRun(0, 2, 7)
-	tc.Merge(sh)
-	if got := tc.Sites[0][2]; got != 12 {
-		t.Fatalf("after merge Sites[0][2] = %d, want 12", got)
-	}
 }
 
 // TestSwitchReplayFanout pins that ReplayInto delivers switch events to
-// switch-aware collectors, skips them for plain ones, and that the
-// partitioned replay matches the single pass exactly.
+// the sinks that count them and that branch-only sinks ignore them.
 func TestSwitchReplayFanout(t *testing.T) {
-	events := mixedEvents(8*ckEvery, 3)
-	s := NewSlab(0)
-	recordAll(s, events)
+	events := mixedEvents(65536, 3)
+	s := recordSlab(events)
 
 	ms := &MaxSite{}
 	tc := NewTargetCounts(0)
 	counts := NewCounts(8)
-	s.ReplayInto(ms, tc, counts)
+	s.ReplayInto(Multi{ms, tc, counts})
 
 	wantBr, wantSw := 0, 0
 	wantTC := NewTargetCounts(0)
@@ -181,7 +159,7 @@ func TestSwitchReplayFanout(t *testing.T) {
 	for _, ev := range events {
 		if ev.Switch {
 			wantSw++
-			wantTC.RecordSwitch(ev.Site, ev.Outcome)
+			wantTC.RecordSwitch(ev.Site, ev.Outcome, 1)
 		} else {
 			wantBr++
 			wantCounts.RecordBranch(ev.Site, ev.Taken)
@@ -197,35 +175,16 @@ func TestSwitchReplayFanout(t *testing.T) {
 		t.Fatalf("event split %d+%d != %d", wantBr, wantSw, s.Len())
 	}
 
-	// Partitioned replay must be bit-identical.
-	ptc := NewTargetCounts(0)
-	pcounts := NewCounts(8)
-	pms := &MaxSite{}
-	s.ReplayPartitioned(4, pms, ptc, pcounts)
-	if !reflect.DeepEqual(ptc.Sites, tc.Sites) {
-		t.Fatal("partitioned TargetCounts differs from single pass")
-	}
-	if !reflect.DeepEqual(pcounts, counts) {
-		t.Fatal("partitioned Counts differs from single pass")
-	}
-	if pms.N != ms.N {
-		t.Fatalf("partitioned MaxSite %d != %d", pms.N, ms.N)
-	}
-
-	// A Log collector preserves the full interleaved order.
-	l := &Log{}
-	s.ReplayInto(l)
-	if !reflect.DeepEqual(l.Events, events) {
-		t.Fatal("Log replay lost event order or kinds")
+	if ms.N != 5 || ms.N != s.Sites() {
+		t.Fatalf("MaxSite %d, Sites %d, want 5", ms.N, s.Sites())
 	}
 }
 
 // TestSwitchSealedRoundTrip pins that the sealed-slab container carries
 // switch escapes through OpenSealed unchanged.
 func TestSwitchSealedRoundTrip(t *testing.T) {
-	events := mixedEvents(6*ckEvery, 4)
-	s := NewSlab(0)
-	recordAll(s, events)
+	events := mixedEvents(50_000, 4)
+	s := recordSlab(events)
 	data := s.AppendSealed(nil)
 	s2, err := OpenSealed(data)
 	if err != nil {
@@ -233,5 +192,8 @@ func TestSwitchSealedRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s2.Events(), events) {
 		t.Fatal("sealed round-trip mismatch")
+	}
+	if s2.Outcomes() != s.Outcomes() || s.Outcomes() == 0 {
+		t.Fatalf("Outcomes %d after round trip, recorded %d", s2.Outcomes(), s.Outcomes())
 	}
 }

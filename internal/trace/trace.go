@@ -6,30 +6,79 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"math"
-	"sync"
 
 	"repro/internal/ir"
 )
 
-// Collector consumes one branch event at a time. The *ir.Term identifies
-// the site; implementations must not retain it across program transforms.
-type Collector interface {
-	Branch(t *ir.Term, taken bool)
+// Sink consumes a branch-event stream keyed by site. Every table and
+// predictor in this repository is a Sink, and so are the two encoders
+// (Slab and Writer).
+//
+// Events arrive split by grain: a single conditional branch through
+// RecordBranch, a maximal RLE run of n identical outcomes through
+// RecordRun, and n identical N-way dispatch events through RecordSwitch,
+// whose outcome is the selected successor index (case index v for
+// 0 <= v < len(Targets), len(Targets) for the default arm). Switch sites
+// share the dense site space with branch sites; a sink with no use for
+// switch events implements RecordSwitch as a no-op.
+//
+// The run contract is strict: RecordRun(s, t, n) must leave the sink in a
+// state bit-identical to n consecutive RecordBranch(s, t) calls, and
+// RecordSwitch(s, o, n) identical to n calls of RecordSwitch(s, o, 1), so
+// replaying through runs is a pure speed-up, never an approximation
+// (pinned by FuzzRunCollectorEquivalence). A sink with no closed form for
+// a run delegates to PerEvent.
+type Sink interface {
+	RecordBranch(site int32, taken bool)
+	RecordRun(site int32, taken bool, n uint64)
+	RecordSwitch(site, outcome int32, n uint64)
 }
 
-// Multi fans one event stream out to several collectors.
-type Multi []Collector
+// Multi fans one event stream out to several sinks, in order.
+type Multi []Sink
 
-// Branch implements Collector.
-func (m Multi) Branch(t *ir.Term, taken bool) {
-	for _, c := range m {
-		c.Branch(t, taken)
+// RecordBranch implements Sink.
+func (m Multi) RecordBranch(site int32, taken bool) {
+	for _, s := range m {
+		s.RecordBranch(site, taken)
+	}
+}
+
+// RecordRun implements Sink.
+func (m Multi) RecordRun(site int32, taken bool, n uint64) {
+	for _, s := range m {
+		s.RecordRun(site, taken, n)
+	}
+}
+
+// RecordSwitch implements Sink.
+func (m Multi) RecordSwitch(site, outcome int32, n uint64) {
+	for _, s := range m {
+		s.RecordSwitch(site, outcome, n)
+	}
+}
+
+// PerEvent expands runs for the wrapped sink: RecordRun(s, t, n) becomes
+// n RecordBranch(s, t) calls and RecordSwitch(s, o, n) becomes n
+// RecordSwitch(s, o, 1) calls. It is the fallback for consumers whose
+// state has no closed form under a run, and the event-at-a-time reference
+// the run-aware oracles compare against.
+type PerEvent struct{ Sink }
+
+// RecordRun implements Sink.
+func (p PerEvent) RecordRun(site int32, taken bool, n uint64) {
+	for ; n > 0; n-- {
+		p.Sink.RecordBranch(site, taken)
+	}
+}
+
+// RecordSwitch implements Sink.
+func (p PerEvent) RecordSwitch(site, outcome int32, n uint64) {
+	for ; n > 0; n-- {
+		p.Sink.RecordSwitch(site, outcome, 1)
 	}
 }
 
@@ -43,20 +92,25 @@ type Event struct {
 	Outcome int32
 }
 
-// Log records events in memory, up to an optional cap.
-type Log struct {
-	Events []Event
-	// Max bounds the number of recorded events (0 = unlimited); events
-	// beyond the cap are dropped but still counted in Seen.
-	Max  int
-	Seen uint64
+// eventList collects a decoded stream as Events (Slab.Events).
+type eventList []Event
+
+func (l *eventList) RecordBranch(site int32, taken bool) {
+	*l = append(*l, Event{Site: site, Taken: taken})
 }
 
-// Branch implements Collector.
-func (l *Log) Branch(t *ir.Term, taken bool) { l.RecordBranch(t.Site, taken) }
+func (l *eventList) RecordRun(site int32, taken bool, n uint64) {
+	PerEvent{l}.RecordRun(site, taken, n)
+}
+
+func (l *eventList) RecordSwitch(site, outcome int32, n uint64) {
+	for ; n > 0; n-- {
+		*l = append(*l, Event{Site: site, Switch: true, Outcome: outcome})
+	}
+}
 
 // Counts accumulates per-site taken/not-taken totals, the "profile"
-// strategy's entire data requirement.
+// strategy's entire data requirement. Switch events do not count.
 type Counts struct {
 	Taken    []uint64
 	NotTaken []uint64
@@ -67,8 +121,29 @@ func NewCounts(nSites int) *Counts {
 	return &Counts{Taken: make([]uint64, nSites), NotTaken: make([]uint64, nSites)}
 }
 
-// Branch implements Collector.
+// Branch is the interpreter-hook form of RecordBranch.
 func (c *Counts) Branch(t *ir.Term, taken bool) { c.RecordBranch(t.Site, taken) }
+
+// RecordBranch implements Sink.
+func (c *Counts) RecordBranch(site int32, taken bool) {
+	if taken {
+		c.Taken[site]++
+	} else {
+		c.NotTaken[site]++
+	}
+}
+
+// RecordRun implements Sink.
+func (c *Counts) RecordRun(site int32, taken bool, n uint64) {
+	if taken {
+		c.Taken[site] += n
+	} else {
+		c.NotTaken[site] += n
+	}
+}
+
+// RecordSwitch implements Sink as a no-op.
+func (c *Counts) RecordSwitch(int32, int32, uint64) {}
 
 // Total returns the number of events recorded for site s.
 func (c *Counts) Total(s int32) uint64 { return c.Taken[s] + c.NotTaken[s] }
@@ -93,6 +168,34 @@ func (c *Counts) Executed() int {
 	return n
 }
 
+// MaxSite scans a replay for the highest site ID plus one, branch and
+// switch sites alike — the table size a trace of unknown provenance needs —
+// and for the highest switch outcome plus one.
+type MaxSite struct {
+	// N is max(site)+1 over the events seen, 0 before any event.
+	N int
+	// Outcomes is max(outcome)+1 over the switch events seen, 0 before any.
+	Outcomes int
+}
+
+// RecordBranch implements Sink.
+func (m *MaxSite) RecordBranch(site int32, _ bool) {
+	if int(site) >= m.N {
+		m.N = int(site) + 1
+	}
+}
+
+// RecordRun implements Sink.
+func (m *MaxSite) RecordRun(site int32, taken bool, _ uint64) { m.RecordBranch(site, taken) }
+
+// RecordSwitch implements Sink.
+func (m *MaxSite) RecordSwitch(site, outcome int32, _ uint64) {
+	m.RecordBranch(site, false)
+	if int(outcome) >= m.Outcomes {
+		m.Outcomes = int(outcome) + 1
+	}
+}
+
 const magic = "BLTRACE1"
 
 // Writer streams events to an io.Writer in the on-disk format:
@@ -106,90 +209,68 @@ const magic = "BLTRACE1"
 // an event code because site+1 >= 1 shifted left is >= 2.
 //
 // Switch (N-way dispatch) events use the run marker's one unused slot — a
-// zero-length run, previously a decode error — as an escape:
+// zero-length run — as an escape:
 //
 //	switch:  uvarint(1) uvarint(0) uvarint(site+1) uvarint(outcome)
 //
 // The escape is self-contained, and a run marker after it repeats the
 // switch event exactly as it would a branch event. Streams containing
-// only conditional branches are byte-identical to the original format.
+// only conditional branches carry no escapes.
+//
+// The events are encoded by a Slab, whose buffer is drained to w every
+// writeChunk bytes, so a Writer's output is byte-identical to
+// Slab.WriteTo of the same events.
 type Writer struct {
-	w      *bufio.Writer
-	last   uint64
-	run    uint64
-	total  uint64
+	w      io.Writer
+	s      *Slab
+	err    error
 	closed bool
 }
 
+// writeChunk is the encoded size at which a Writer drains its slab.
+const writeChunk = 1 << 16
+
 // NewWriter writes the header and returns a streaming writer.
 func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(magic); err != nil {
+	if _, err := io.WriteString(w, magic); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw}, nil
+	return &Writer{w: w, s: NewSlab(writeChunk)}, nil
 }
 
-func (w *Writer) putUvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.w.Write(buf[:n]) // errors surface at Close via Flush
-}
-
-// Branch implements Collector.
+// Branch is the interpreter-hook form of RecordBranch.
 func (w *Writer) Branch(t *ir.Term, taken bool) { w.RecordBranch(t.Site, taken) }
 
-// RecordBranch implements SiteCollector.
+// RecordBranch implements Sink.
 func (w *Writer) RecordBranch(site int32, taken bool) {
-	code := (uint64(site)+1)<<1 | b2u(taken)
-	w.total++
-	if code == w.last {
-		w.run++
+	w.s.RecordBranch(site, taken)
+	w.drain(writeChunk)
+}
+
+// RecordRun implements Sink.
+func (w *Writer) RecordRun(site int32, taken bool, n uint64) {
+	w.s.RecordRun(site, taken, n)
+	w.drain(writeChunk)
+}
+
+// RecordSwitch implements Sink.
+func (w *Writer) RecordSwitch(site, outcome int32, n uint64) {
+	w.s.RecordSwitch(site, outcome, n)
+	w.drain(writeChunk)
+}
+
+// drain writes out the encoded bytes once at least min are buffered. The
+// slab's pending run and last code live outside its buffer, so draining
+// mid-stream does not change the encoding. The first write error sticks
+// and surfaces at Close.
+func (w *Writer) drain(min int) {
+	if len(w.s.buf) < min {
 		return
 	}
-	w.flushRun()
-	w.putUvarint(code)
-	w.last = code
-}
-
-func (w *Writer) flushRun() {
-	if w.run > 0 {
-		w.putUvarint(1)
-		w.putUvarint(w.run)
-		w.run = 0
+	if w.err == nil {
+		_, w.err = w.w.Write(w.s.buf)
 	}
-}
-
-// swKey is the synthetic RLE key for a switch event. Bit 63 keeps it
-// disjoint from every branch event code, whose site field caps the code
-// below 2^33.
-func swKey(site, outcome int32) uint64 {
-	return 1<<63 | uint64(uint32(site))<<32 | uint64(uint32(outcome))
-}
-
-// RecordSwitch implements SwitchCollector, emitting the switch escape.
-func (w *Writer) RecordSwitch(site, outcome int32) {
-	w.RecordSwitchRun(site, outcome, 1)
-}
-
-// RecordSwitchRun implements SwitchRunCollector on the wire encoder.
-func (w *Writer) RecordSwitchRun(site, outcome int32, n uint64) {
-	if n == 0 {
-		return
-	}
-	key := swKey(site, outcome)
-	w.total += n
-	if key == w.last {
-		w.run += n
-		return
-	}
-	w.flushRun()
-	w.putUvarint(1)
-	w.putUvarint(0)
-	w.putUvarint(uint64(site) + 1)
-	w.putUvarint(uint64(outcome))
-	w.last = key
-	w.run = n - 1
+	w.s.buf = w.s.buf[:0]
 }
 
 // Close flushes pending runs and the footer. The Writer must not be used
@@ -199,10 +280,15 @@ func (w *Writer) Close() error {
 		return errors.New("trace: writer already closed")
 	}
 	w.closed = true
-	w.flushRun()
-	w.putUvarint(0)
-	w.putUvarint(w.total)
-	return w.w.Flush()
+	w.s.Seal()
+	w.s.buf = appendFooter(w.s.buf, w.s.n)
+	w.drain(0)
+	return w.err
+}
+
+// appendFooter appends the stream terminator and the event count.
+func appendFooter(dst []byte, n uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(dst, 0), n)
 }
 
 func b2u(b bool) uint64 {
@@ -210,210 +296,4 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// bufReaderPool recycles the Reader's 64 KiB decode buffer across
-// decodes. The service's batch path decodes many uploaded BLTRACE1
-// streams concurrently; without pooling, every upload allocates (and
-// promptly discards) a fresh bufio buffer.
-var bufReaderPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, 1<<16) },
-}
-
-// Reader decodes a trace written by Writer.
-type Reader struct {
-	r     *bufio.Reader
-	lim   Limits
-	last  Event
-	valid bool
-	run   uint64
-	done  bool
-	count uint64
-	total uint64
-}
-
-// NewReader validates the header and returns a reader enforcing
-// DefaultLimits; use NewReaderLimits to choose different bounds.
-func NewReader(r io.Reader) (*Reader, error) {
-	return NewReaderLimits(r, DefaultLimits())
-}
-
-// newReader validates the header; the caller sets limits. The decode
-// buffer comes from the shared pool; Release returns it.
-func newReader(r io.Reader) (*Reader, error) {
-	br := bufReaderPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	release := func() {
-		br.Reset(nil)
-		bufReaderPool.Put(br)
-	}
-	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		release()
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if string(hdr) != magic {
-		release()
-		return nil, fmt.Errorf("trace: bad magic %q", hdr)
-	}
-	return &Reader{r: br}, nil
-}
-
-// Release returns the Reader's decode buffer to the package pool. It is
-// optional — an unreleased buffer is simply collected — but the hot
-// decode paths (ReadSlab, ReadAll) call it so concurrent uploads stop
-// churning 64 KiB allocations. The Reader must not be used afterwards.
-func (r *Reader) Release() {
-	if r.r != nil {
-		r.r.Reset(nil)
-		bufReaderPool.Put(r.r)
-		r.r = nil
-	}
-}
-
-// Next returns the next event, or io.EOF after the last one. A corrupt
-// stream yields a descriptive error.
-func (r *Reader) Next() (Event, error) {
-	if r.run > 0 {
-		r.run--
-		r.count++
-		if err := r.checkEvents(); err != nil {
-			return Event{}, err
-		}
-		return r.last, nil
-	}
-	if r.done {
-		return Event{}, io.EOF
-	}
-	code, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: truncated stream: %w", err)
-	}
-	switch code {
-	case 0: // footer
-		r.done = true
-		total, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated footer: %w", err)
-		}
-		r.total = total
-		if r.count != total {
-			return Event{}, fmt.Errorf("trace: footer count %d != decoded %d", total, r.count)
-		}
-		return Event{}, io.EOF
-	case 1: // run-length repeat of the previous event, or a switch escape
-		n, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated run: %w", err)
-		}
-		if n == 0 {
-			// Switch escape: uvarint(site+1) uvarint(outcome).
-			sc, err := binary.ReadUvarint(r.r)
-			if err != nil {
-				return Event{}, fmt.Errorf("trace: truncated switch event: %w", err)
-			}
-			if sc == 0 {
-				return Event{}, errors.New("trace: switch event with zero site code")
-			}
-			if sc-1 > math.MaxInt32 {
-				return Event{}, fmt.Errorf("trace: switch site %d overflows int32", sc-1)
-			}
-			oc, err := binary.ReadUvarint(r.r)
-			if err != nil {
-				return Event{}, fmt.Errorf("trace: truncated switch outcome: %w", err)
-			}
-			if oc > math.MaxInt32 {
-				return Event{}, fmt.Errorf("trace: switch outcome %d overflows int32", oc)
-			}
-			ev := Event{Site: int32(sc - 1), Switch: true, Outcome: int32(oc)}
-			if r.lim.MaxSites > 0 && ev.Site >= r.lim.MaxSites {
-				return Event{}, fmt.Errorf("trace: site %d exceeds the %d-site cap: %w", ev.Site, r.lim.MaxSites, ErrTooLarge)
-			}
-			r.last = ev
-			r.valid = true
-			r.count++
-			if err := r.checkEvents(); err != nil {
-				return Event{}, err
-			}
-			return ev, nil
-		}
-		if !r.valid {
-			return Event{}, errors.New("trace: run marker before any event")
-		}
-		r.run = n - 1
-		r.count++
-		if err := r.checkEvents(); err != nil {
-			return Event{}, err
-		}
-		return r.last, nil
-	default:
-		site := code>>1 - 1 // code >= 2 here, so this cannot underflow
-		if site > math.MaxInt32 {
-			return Event{}, fmt.Errorf("trace: site %d in code %d overflows int32", site, code)
-		}
-		ev := Event{Site: int32(site), Taken: code&1 == 1}
-		if r.lim.MaxSites > 0 && ev.Site >= r.lim.MaxSites {
-			return Event{}, fmt.Errorf("trace: site %d exceeds the %d-site cap: %w", ev.Site, r.lim.MaxSites, ErrTooLarge)
-		}
-		r.last = ev
-		r.valid = true
-		r.count++
-		if err := r.checkEvents(); err != nil {
-			return Event{}, err
-		}
-		return ev, nil
-	}
-}
-
-// checkEvents enforces the event cap after each decoded event.
-func (r *Reader) checkEvents() error {
-	if r.lim.MaxEvents != 0 && r.count > r.lim.MaxEvents {
-		return fmt.Errorf("trace: %d events: %w", r.count, ErrTooLarge)
-	}
-	return nil
-}
-
-// ReadAll decodes the entire stream.
-func ReadAll(r io.Reader) ([]Event, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Release()
-	var out []Event
-	for {
-		ev, err := tr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-}
-
-// Replay feeds a decoded trace into a collector, synthesising Term values
-// for the site IDs. Sites must be consistent with the program the collector
-// was sized for.
-func Replay(events []Event, c Collector) {
-	// One Term per site is enough: collectors read only Site.
-	terms := map[int32]*ir.Term{}
-	sw, _ := c.(SwitchCollector)
-	for _, ev := range events {
-		if ev.Switch {
-			// Switch events reach collectors that understand them; the
-			// rest see only the conditional-branch stream.
-			if sw != nil {
-				sw.RecordSwitch(ev.Site, ev.Outcome)
-			}
-			continue
-		}
-		t := terms[ev.Site]
-		if t == nil {
-			t = &ir.Term{Op: ir.TermBr, Site: ev.Site, Orig: ev.Site}
-			terms[ev.Site] = t
-		}
-		c.Branch(t, ev.Taken)
-	}
 }

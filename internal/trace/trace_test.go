@@ -2,8 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +12,15 @@ import (
 
 func term(site int32) *ir.Term {
 	return &ir.Term{Op: ir.TermBr, Site: site, Orig: site}
+}
+
+// readAll decodes a BLTRACE1 stream under DefaultLimits.
+func readAll(data []byte) ([]Event, error) {
+	s, err := ReadSlab(data, DefaultLimits())
+	if err != nil {
+		return nil, err
+	}
+	return s.Events(), nil
 }
 
 func TestRoundTripSimple(t *testing.T) {
@@ -27,7 +36,7 @@ func TestRoundTripSimple(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +59,7 @@ func TestRoundTripEmpty(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +87,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := w.Close(); err != nil {
 			return false
 		}
-		got, err := ReadAll(&buf)
+		got, err := readAll(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -114,7 +123,7 @@ func TestRunLengthCompresses(t *testing.T) {
 	if buf.Len() > 64 {
 		t.Fatalf("RLE trace of %d identical events is %d bytes", n, buf.Len())
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +133,7 @@ func TestRunLengthCompresses(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOTATRACE"))); err == nil {
+	if _, err := readAll([]byte("NOTATRACE")); err == nil {
 		t.Fatal("want error for bad magic")
 	}
 }
@@ -142,18 +151,8 @@ func TestTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(full[:len(full)-3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		_, err := r.Next()
-		if err == io.EOF {
-			t.Fatal("truncated trace decoded to clean EOF")
-		}
-		if err != nil {
-			return // expected: corruption detected
-		}
+	if _, err := readAll(full[:len(full)-3]); err == nil {
+		t.Fatal("truncated trace decoded cleanly")
 	}
 }
 
@@ -170,36 +169,8 @@ func TestFooterCountMismatchDetected(t *testing.T) {
 	// Corrupt the footer count (last byte is the uvarint count 1 → 7).
 	raw := buf.Bytes()
 	raw[len(raw)-1] = 7
-	r, err := NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawErr bool
-	for {
-		_, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sawErr = true
-			break
-		}
-	}
-	if !sawErr {
+	if _, err := readAll(raw); err == nil {
 		t.Fatal("footer mismatch not detected")
-	}
-}
-
-func TestLogCapAndSeen(t *testing.T) {
-	l := &Log{Max: 3}
-	for i := 0; i < 10; i++ {
-		l.Branch(term(1), true)
-	}
-	if len(l.Events) != 3 {
-		t.Fatalf("len = %d, want 3", len(l.Events))
-	}
-	if l.Seen != 10 {
-		t.Fatalf("seen = %d, want 10", l.Seen)
 	}
 }
 
@@ -225,19 +196,21 @@ func TestCounts(t *testing.T) {
 
 func TestMultiFansOut(t *testing.T) {
 	a := NewCounts(1)
-	b := &Log{}
-	m := Multi{a, b}
-	m.Branch(term(0), true)
-	m.Branch(term(0), false)
-	if a.Total(0) != 2 || len(b.Events) != 2 {
-		t.Fatal("multi did not fan out")
+	var b eventList
+	m := Multi{a, &b}
+	m.RecordBranch(0, true)
+	m.RecordRun(0, false, 3)
+	m.RecordSwitch(0, 2, 1)
+	want := eventList{{Site: 0, Taken: true}, {Site: 0}, {Site: 0}, {Site: 0}, {Site: 0, Switch: true, Outcome: 2}}
+	if a.Total(0) != 4 || !reflect.DeepEqual(b, want) {
+		t.Fatalf("multi did not fan out: counts %d, events %v", a.Total(0), b)
 	}
 }
 
 func TestReplay(t *testing.T) {
 	events := []Event{{Site: 0, Taken: true}, {Site: 1, Taken: false}, {Site: 0, Taken: false}}
 	c := NewCounts(2)
-	Replay(events, c)
+	recordSlab(events).ReplayInto(c)
 	if c.Taken[0] != 1 || c.NotTaken[0] != 1 || c.NotTaken[1] != 1 {
 		t.Fatalf("replay counts wrong: %+v", c)
 	}
