@@ -87,6 +87,9 @@ stage_fuzz() {
     # claims must never contradict a recorded trace on any generated program.
     go test -run='^$' -fuzz=FuzzStaticSoundness -fuzztime=10s ./internal/analysis
     go test -run='^$' -fuzz=FuzzRunCollectorEquivalence -fuzztime=10s ./internal/bench
+    # Exact machine scoring: the one-pass run fold must equal the
+    # bit-at-a-time Rescore on arbitrary tables and streams.
+    go test -run='^$' -fuzz=FuzzRescoreRuns -fuzztime=10s ./internal/statemachine
     # Indirect family: clustered switch programs must stay observably
     # identical to their originals.
     go test -run='^$' -fuzz=FuzzIndirectEquivalence -fuzztime=10s ./internal/indirect
@@ -103,6 +106,9 @@ stage_check() {
 
 stage_bench() {
     go test -bench=. -benchtime=1x -run='^$' .
+    # Full-sweep oracle: the default `krallbench -all` output must hash to
+    # the committed digest the perfbench sweep also checks.
+    test "$(go run ./cmd/krallbench -all -quiet | sha256sum | cut -d' ' -f1)" = "$(cat perfbench/testdata/sweep_seed0.sha256)"
     # Bench-regression gate: run the sweep (including the trace-replay
     # throughput modes), the service throughput harness, and the multi-node
     # scaling round into a fresh document, then compare it against the

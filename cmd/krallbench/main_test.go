@@ -12,9 +12,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
-// goldenCases pins the five paper tables at a fixed small scale. The
-// budget is large enough that every strategy row is populated but small
-// enough to keep the whole test under a few seconds.
+// goldenCases pins the five paper tables and the measured sections at a
+// fixed small scale. The budget is large enough that every strategy row is
+// populated but small enough to keep the whole test under a few seconds.
 var goldenCases = []struct {
 	name string
 	args []string
@@ -26,6 +26,11 @@ var goldenCases = []struct {
 	{"table5", []string{"-quick", "-budget", "20000", "-table", "5"}},
 	{"staticpred", []string{"-quick", "-budget", "20000", "-staticpred"}},
 	{"indirect", []string{"-quick", "-budget", "20000", "-indirect"}},
+	{"measured", []string{"-quick", "-budget", "20000", "-measured"}},
+	{"crossdata", []string{"-quick", "-budget", "20000", "-crossdata"}},
+	{"layout", []string{"-quick", "-budget", "20000", "-layout"}},
+	{"scope", []string{"-quick", "-budget", "20000", "-scope"}},
+	{"joint", []string{"-quick", "-budget", "20000", "-joint"}},
 }
 
 // TestGolden compares krallbench's stdout against committed golden files.

@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"fmt"
+
 	"repro/internal/ir"
 	"repro/internal/predict"
 	"repro/internal/replicate"
 	"repro/internal/runner"
 	"repro/internal/statemachine"
+	"repro/internal/trace"
 )
 
 // CrossDataset runs the paper's §6 / [FF92] sensitivity experiment: train
@@ -38,26 +41,14 @@ func (s *Suite) CrossDataset() (*Table, error) {
 		c.profCross = rateCell(cr.Misses, cr.Total)
 
 		// Replication trained on A (realizable machines only), measured on
-		// both datasets by running the transformed program.
-		choices, err := s.selectFor(d, statemachine.Options{
-			MaxStates:  machineStates,
-			MaxPathLen: 1,
-		})
+		// both datasets by running the transformed program. The dataset-A
+		// run is the one shared with the other measured experiments.
+		r, err := s.replicatedFor(d, machineStates)
 		if err != nil {
 			return col{}, err
 		}
-		clone := ir.CloneProgram(d.C.Prog)
-		if _, err := replicate.ApplyOpts(clone, choices, static.Preds,
-			replicate.Options{MaxSizeFactor: 3}); err != nil {
-			return col{}, err
-		}
-		c.replSelf, err = s.measuredRate(clone, RunConfig{
-			Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg),
-		})
-		if err != nil {
-			return col{}, err
-		}
-		c.replCross, err = s.measuredRate(clone, RunConfig{
+		c.replSelf = r.rate()
+		c.replCross, err = s.measuredRate(r.Prog, RunConfig{
 			Budget: s.Cfg.Budget, Seed: s.Cfg.CrossSeed, Scale: scaleFor(s.Cfg),
 		})
 		if err != nil {
@@ -96,10 +87,68 @@ func (s *Suite) measuredRate(prog *ir.Program, cfg RunConfig) (Cell, error) {
 	return rateCell(m.Mispredicted, m.Predicted), nil
 }
 
+// replicated is one workload's program replicated with realizable machines
+// of up to some number of states, and the transformed program's one live
+// run on dataset A. The measured, cross-dataset, layout and scope
+// experiments all read it from the artifact cache, so the transform and
+// the run happen once per suite. It is shared between jobs: nothing may
+// mutate it.
+type replicated struct {
+	// Prog is the transformed program, its sites renumbered.
+	Prog  *ir.Program
+	Stats *replicate.Stats
+	// Predicted and Mispredicted are the interpreter's static-prediction
+	// counters of the dataset-A run; Counts and BlockCounts its per-site
+	// branch counts and per-block execution counts.
+	Predicted, Mispredicted uint64
+	Counts                  *trace.Counts
+	BlockCounts             [][]uint64
+}
+
+// rate is the measured misprediction rate of the dataset-A run.
+func (r *replicated) rate() Cell { return rateCell(r.Mispredicted, r.Predicted) }
+
+// replicatedFor transforms workload d with the realizable strategy
+// selection of up to maxStates states (size factor capped at 3) and runs
+// the result once on dataset A, memoised in the artifact cache.
+func (s *Suite) replicatedFor(d *WorkloadData, maxStates int) (*replicated, error) {
+	key := fmt.Sprintf("%sreplicated/%s/n%d", s.prefix, d.C.Workload.Name, maxStates)
+	return runner.Cached(s.eng.Cache(), key, func() (*replicated, error) {
+		choices, err := s.selectFor(d, statemachine.Options{
+			MaxStates:  maxStates,
+			MaxPathLen: 1,
+		})
+		if err != nil {
+			return nil, err
+		}
+		prog := ir.CloneProgram(d.C.Prog)
+		st, err := replicate.ApplyOpts(prog, choices, predict.ProfileStatic(d.Prof.Counts).Preds,
+			replicate.Options{MaxSizeFactor: 3})
+		if err != nil {
+			return nil, err
+		}
+		// countingRun renumbers the sites, before the program is shared.
+		s.countLiveRun()
+		counts, m, err := countingRun(prog, s.Cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &replicated{
+			Prog:         prog,
+			Stats:        st,
+			Predicted:    m.Predicted,
+			Mispredicted: m.Mispredicted,
+			Counts:       counts,
+			BlockCounts:  m.BlockCounts(),
+		}, nil
+	})
+}
+
 // MeasuredReplication transforms every workload with realizable machines
 // and measures the misprediction rate and size factor of the transformed
 // programs — the end-to-end validation of the paper's headline claim.
-// One parallel job per workload (transform + two full interpreter runs).
+// One parallel job per workload; the transformed program's run is shared
+// with the cross-dataset, layout and scope experiments.
 func (s *Suite) MeasuredReplication(maxStates int) (*Table, error) {
 	t := &Table{
 		ID:    "measured",
@@ -124,24 +173,12 @@ func (s *Suite) MeasuredReplication(maxStates int) (*Table, error) {
 			}
 		}
 
-		choices, err := s.selectFor(d, statemachine.Options{
-			MaxStates:  maxStates,
-			MaxPathLen: 1,
-		})
+		r, err := s.replicatedFor(d, maxStates)
 		if err != nil {
 			return col{}, err
 		}
-		clone := ir.CloneProgram(d.C.Prog)
-		st, err := replicate.ApplyOpts(clone, choices, static.Preds,
-			replicate.Options{MaxSizeFactor: 3})
-		if err != nil {
-			return col{}, err
-		}
-		c.repl, err = s.measuredRate(clone, RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)})
-		if err != nil {
-			return col{}, err
-		}
-		c.size = Cell{Value: st.SizeFactor(), Valid: true}
+		c.repl = r.rate()
+		c.size = Cell{Value: r.Stats.SizeFactor(), Valid: true}
 		return c, nil
 	})
 	if err != nil {

@@ -6,10 +6,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/layout"
-	"repro/internal/predict"
-	"repro/internal/replicate"
 	"repro/internal/runner"
-	"repro/internal/statemachine"
 	"repro/internal/trace"
 )
 
@@ -47,24 +44,11 @@ func (s *Suite) LayoutTable() (*Table, error) {
 			}
 		}
 
-		static := predict.ProfileStatic(d.Prof.Counts)
-		choices, err := s.selectFor(d, statemachine.Options{
-			MaxStates:  5,
-			MaxPathLen: 1,
-		})
+		r, err := s.replicatedFor(d, 5)
 		if err != nil {
 			return col{}, err
 		}
-		clone := ir.CloneProgram(d.C.Prog)
-		if _, err := replicate.ApplyOpts(clone, choices, static.Preds,
-			replicate.Options{MaxSizeFactor: 3}); err != nil {
-			return col{}, err
-		}
-		s.countLiveRun()
-		c.replNaive, c.replPH, err = layoutRates(clone, s.Cfg)
-		if err != nil {
-			return col{}, err
-		}
+		c.replNaive, c.replPH = layoutCells(r.Prog, r.BlockCounts, r.Counts)
 		return c, nil
 	})
 	if err != nil {
@@ -88,19 +72,28 @@ func (s *Suite) LayoutTable() (*Table, error) {
 // layoutRates profiles one program (block counts + branch counts) and
 // evaluates both layouts.
 func layoutRates(prog *ir.Program, cfg ExpConfig) (naive, ph Cell, err error) {
-	counts, bc, err := countingRun(prog, cfg)
+	counts, m, err := countingRun(prog, cfg)
 	if err != nil {
 		return Cell{}, Cell{}, err
 	}
+	naive, ph = layoutCells(prog, m.BlockCounts(), counts)
+	return naive, ph, nil
+}
+
+// layoutCells evaluates the naive and the Pettis–Hansen layout of a
+// program from its block and branch counts.
+func layoutCells(prog *ir.Program, bc [][]uint64, counts *trace.Counts) (naive, ph Cell) {
 	nv := layout.EvaluateProgram(prog, bc, counts, false)
 	pv := layout.EvaluateProgram(prog, bc, counts, true)
-	return Cell{Value: nv.TakenRate(), Valid: true}, Cell{Value: pv.TakenRate(), Valid: true}, nil
+	return Cell{Value: nv.TakenRate(), Valid: true}, Cell{Value: pv.TakenRate(), Valid: true}
 }
 
 // countingRun executes a program with per-site branch counts and per-block
 // execution counts enabled — the two inputs of the layout and scope
-// experiments.
-func countingRun(prog *ir.Program, cfg ExpConfig) (*trace.Counts, [][]uint64, error) {
+// experiments — and returns the counts and the machine, whose block counts
+// and static-prediction counters the caller reads. It renumbers the
+// program's sites first.
+func countingRun(prog *ir.Program, cfg ExpConfig) (*trace.Counts, *interp.Machine, error) {
 	n := prog.NumberBranches(false)
 	counts := trace.NewCounts(n)
 	m := interp.New(prog)
@@ -120,5 +113,5 @@ func countingRun(prog *ir.Program, cfg ExpConfig) (*trace.Counts, [][]uint64, er
 	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
 		return nil, nil, err
 	}
-	return counts, m.BlockCounts(), nil
+	return counts, m, nil
 }

@@ -136,6 +136,23 @@ func TestRecordOncePerWorkload(t *testing.T) {
 		t.Fatalf("after cross-dataset: %d live runs, want %d", st.LiveRuns, want)
 	}
 
+	// The measured, layout and scope experiments read the replicated
+	// program's dataset-A run that cross-dataset already made: n shared
+	// runs plus n dataset-B runs in all.
+	if _, err := s.MeasuredReplication(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LayoutTable(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ScopeTable(); err != nil {
+		t.Fatal(err)
+	}
+	st = s.Engine().Stats()
+	if want := 2 * n; st.LiveRuns != want {
+		t.Fatalf("after measured, layout and scope: %d live runs, want %d (one shared run per replicated program)", st.LiveRuns, want)
+	}
+
 	// Repeating any trace-sufficient experiment must not interpret again.
 	s.Table1()
 	s.Table4()

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"repro/internal/ir"
-	"repro/internal/predict"
-	"repro/internal/replicate"
 	"repro/internal/runner"
-	"repro/internal/statemachine"
 	"repro/internal/superblock"
 )
 
@@ -33,33 +30,20 @@ func (s *Suite) ScopeTable() (*Table, error) {
 			c.orig = Cell{Value: so.AvgDynamicLength(), Valid: true}
 		} else {
 			s.countLiveRun()
-			so, _, err := scopeStats(d.C.Prog, s.Cfg)
+			so, err := scopeStats(d.C.Prog, s.Cfg)
 			if err != nil {
 				return col{}, err
 			}
 			c.orig = Cell{Value: so.AvgDynamicLength(), Valid: true}
 		}
 
-		static := predict.ProfileStatic(d.Prof.Counts)
-		choices, err := s.selectFor(d, statemachine.Options{
-			MaxStates:  5,
-			MaxPathLen: 1,
-		})
+		r, err := s.replicatedFor(d, 5)
 		if err != nil {
 			return col{}, err
 		}
-		clone := ir.CloneProgram(d.C.Prog)
-		if _, err := replicate.ApplyOpts(clone, choices, static.Preds,
-			replicate.Options{MaxSizeFactor: 3}); err != nil {
-			return col{}, err
-		}
-		s.countLiveRun()
-		sr, nt, err := scopeStats(clone, s.Cfg)
-		if err != nil {
-			return col{}, err
-		}
+		sr := superblock.MeasureProgram(r.Prog, r.BlockCounts, r.Counts)
 		c.repl = Cell{Value: sr.AvgDynamicLength(), Valid: true}
-		c.traces = countCell(uint64(nt))
+		c.traces = countCell(uint64(sr.Traces))
 		return c, nil
 	})
 	if err != nil {
@@ -78,11 +62,10 @@ func (s *Suite) ScopeTable() (*Table, error) {
 	return t, nil
 }
 
-func scopeStats(prog *ir.Program, cfg ExpConfig) (superblock.Stats, int, error) {
-	counts, bc, err := countingRun(prog, cfg)
+func scopeStats(prog *ir.Program, cfg ExpConfig) (superblock.Stats, error) {
+	counts, m, err := countingRun(prog, cfg)
 	if err != nil {
-		return superblock.Stats{}, 0, err
+		return superblock.Stats{}, err
 	}
-	st := superblock.MeasureProgram(prog, bc, counts)
-	return st, st.Traces, nil
+	return superblock.MeasureProgram(prog, m.BlockCounts(), counts), nil
 }

@@ -200,6 +200,36 @@ func (c *Streams) GobDecode(data []byte) error {
 	return nil
 }
 
+// CheckShape reports whether the bundle has the shape New gives it: every
+// table present and sized for NSites sites. The analyses index every table
+// by site without checking, so a decoded bundle — untrusted, and the gob
+// codec leaves a missing table nil — must pass this before use.
+func (p *Profile) CheckShape() error {
+	if p.NSites < 0 {
+		return fmt.Errorf("profile: decoded bundle has %d sites", p.NSites)
+	}
+	if p.Counts == nil || p.Local == nil || p.Global == nil || p.Path == nil || p.Streams == nil || p.Targets == nil {
+		return fmt.Errorf("profile: decoded bundle lacks a table")
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"taken counts", len(p.Counts.Taken)},
+		{"not-taken counts", len(p.Counts.NotTaken)},
+		{"local history", p.Local.NumSites()},
+		{"global history", p.Global.NumSites()},
+		{"path history", p.Path.NumSites()},
+		{"streams", p.Streams.NumSites()},
+		{"switch targets", len(p.Targets.Sites)},
+	} {
+		if c.n != p.NSites {
+			return fmt.Errorf("profile: decoded %s table has %d sites, want %d", c.name, c.n, p.NSites)
+		}
+	}
+	return nil
+}
+
 func encodeWire(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {

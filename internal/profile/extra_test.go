@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -140,4 +142,35 @@ func TestPathElemOverflowPanics(t *testing.T) {
 	}()
 	h := NewPathHistory(1, 2)
 	h.RecordBranch(1<<15, true)
+}
+
+// TestStreamRunAt walks streams run by run and checks every run against
+// the bit-at-a-time reading: maximal, non-empty, and covering the stream
+// exactly, including runs that span words or end on a word boundary.
+func TestStreamRunAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		var s Stream
+		var want []int
+		size := 1 + rng.Intn(700)
+		for o := rng.Intn(2) == 0; s.Len() < size; o = !o {
+			n := 1 + rng.Intn(1+[]int{2, 70, 200}[rng.Intn(3)])
+			for i := 0; i < n; i++ {
+				s.Append(o)
+			}
+			want = append(want, n)
+		}
+		var got []int
+		for i, n := 0, 0; i < s.Len(); i += n {
+			var taken bool
+			taken, n = s.RunAt(i)
+			if taken != s.Get(i) || n < 1 {
+				t.Fatalf("trial %d: run at %d = (%v, %d)", trial, i, taken, n)
+			}
+			got = append(got, n)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: runs %v, want %v", trial, got, want)
+		}
+	}
 }

@@ -1,5 +1,7 @@
 package profile
 
+import "math/bits"
+
 // Stream is a packed per-branch outcome sequence (1 = taken). The
 // state-machine search replays streams to score candidate machines with
 // exact automaton semantics, instead of the paper's slightly optimistic
@@ -27,6 +29,32 @@ func (s *Stream) Len() int { return s.n }
 // Get returns outcome i.
 func (s *Stream) Get(i int) bool {
 	return s.words[i>>6]&(1<<uint(i&63)) != 0
+}
+
+// RunAt returns the maximal run of equal outcomes that starts at i: its
+// direction and its length (at least 1). It reads the packed words a word
+// at a time, so a run of length L costs O(1 + L/64); a stream is walked
+// run by run as i += n from i = 0 to Len.
+func (s *Stream) RunAt(i int) (taken bool, n int) {
+	taken = s.Get(i)
+	j := i
+	for j < s.n {
+		w := s.words[j>>6] >> uint(j&63)
+		if taken {
+			w = ^w
+		}
+		// w's low bits are now zero while the run lasts. Above bit rest-1
+		// w holds the shift's fill, so z >= rest exactly when the run
+		// reaches the word's end; it then carries on into the next word.
+		z, rest := bits.TrailingZeros64(w), 64-j&63
+		if z < rest {
+			j += z
+			break
+		}
+		j += rest
+	}
+	// The last word may run on past the final outcome; the run stops there.
+	return taken, min(j, s.n) - i
 }
 
 // Streams collects one outcome stream per branch site.

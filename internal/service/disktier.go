@@ -38,23 +38,25 @@ type tieredStore struct {
 	fetchPeer func(key string) ([]byte, bool)
 }
 
-// Do implements runner.Store. Artifact keys go through doArtifact, which
-// knows the program; through Do no stored artifact is trusted.
+// Do implements runner.Store. Artifact and profile keys go through doFor,
+// which knows the program; through Do no stored artifact or profile is
+// trusted.
 func (t *tieredStore) Do(key string, fn func() (any, error)) (any, error) {
 	return t.do(key, nil, fn)
 }
 
-// doArtifact is Do for the artifact key of program c. A disk or peer slab
-// naming a site or switch outcome beyond c's cannot have been recorded
-// from that program, so it is a miss.
-func (t *tieredStore) doArtifact(key string, c *compiled, fn func() (*artifact, error)) (*artifact, error) {
+// doFor is Do for an artifact or profile key of program c. A disk or
+// peer slab naming a site or switch outcome beyond c's, or a stored
+// profile sized for another site count, cannot have come from that
+// program, so it is a miss.
+func doFor[T any](t *tieredStore, key string, c *compiled, fn func() (T, error)) (T, error) {
 	v, err := t.do(key, c, func() (any, error) { return fn() })
-	art, _ := v.(*artifact)
-	return art, err
+	out, _ := v.(T)
+	return out, err
 }
 
-// do is Do with c, the program of an artifact key (nil when unknown,
-// which no stored slab passes).
+// do is Do with c, the program of an artifact or profile key (nil when
+// unknown, which no stored slab or profile passes).
 func (t *tieredStore) do(key string, c *compiled, fn func() (any, error)) (any, error) {
 	if t.disk == nil && t.fetchPeer == nil {
 		return t.mem.Do(key, fn)
@@ -113,7 +115,7 @@ func (t *tieredStore) loadDisk(key string, c *compiled) (any, bool) {
 			return nil, false
 		}
 		var p profile.Profile
-		if err := gobDecode(raw, &p); err != nil {
+		if err := gobDecode(raw, &p); err != nil || p.CheckShape() != nil || c == nil || p.NSites != c.nsites {
 			return nil, false
 		}
 		return &p, true

@@ -216,7 +216,7 @@ func runMachine(m *interp.Machine) (truncated bool, err error) {
 // (LRU drops errors), so a retry after a timeout starts clean.
 func (s *Server) artifactFor(ctx context.Context, c *compiled, req *Request, budget uint64) (*artifact, error) {
 	key := artifactKey(c.key, budget, req)
-	return s.store.doArtifact(key, c, func() (*artifact, error) {
+	return doFor(s.store, key, c, func() (*artifact, error) {
 		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
 		defer cancel()
 		m, err := newMachine(rctx, c, c.prog, budget, req)
@@ -249,7 +249,7 @@ func (s *Server) profileFor(ctx context.Context, c *compiled, req *Request, budg
 		return nil, nil, err
 	}
 	key := contentKey("prof", c.key, field(budget, req.Seed, req.Scale))
-	prof, err := runner.Cached(s.store, key, func() (*profile.Profile, error) {
+	prof, err := doFor(s.store, key, c, func() (*profile.Profile, error) {
 		p := profile.New(c.nsites, profile.Options{LocalK: 9, GlobalK: 9, PathM: 3})
 		art.slab.ReplayInto(p)
 		s.eng.CountReplay(int64(art.slab.Len()))

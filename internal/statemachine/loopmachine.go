@@ -337,7 +337,9 @@ func (m *LoopMachine) delta() [][2]int {
 // stricter than the longest-match table counting: a replicated machine only
 // knows as much history as its current state label, so it can idle in a
 // short state while a longer pattern matches the true history. The paper's
-// counting ignores that effect; measured results come from Rescore.
+// counting ignores that effect; measured results use these semantics.
+// BestLoopMachineExact scores its candidates the same way, all in one pass
+// (rescoreRuns); Rescore is the bit-at-a-time form, kept as its reference.
 func (m *LoopMachine) Rescore(st *profile.Stream) {
 	d := m.delta()
 	counts := make([]profile.Pair, len(m.States))
@@ -360,10 +362,12 @@ func (m *LoopMachine) Rescore(st *profile.Stream) {
 }
 
 // BestLoopMachineExact searches like BestLoopMachine but scores the top
-// candidate sets by exact stream replay (Rescore) and returns the machine
-// that is actually best when realised as replicated code. The table-based
-// score is used as the search heuristic; the topK (here 12) candidates are
-// replayed. Like BestLoopMachine, it returns the largest machine when no
+// candidate sets by exact stream replay (Rescore semantics) and returns the
+// machine that is actually best when realised as replicated code. The
+// table-based score is used as the search heuristic; the topK (here 12)
+// candidates, plus the canonical sets, are replayed together in one pass
+// over the stream (rescoreRuns). A later candidate must score strictly more
+// hits to win. Like BestLoopMachine, it returns the largest machine when no
 // n-state set exists.
 func BestLoopMachineExact(tab []profile.Pair, k, n int, st *profile.Stream) *LoopMachine {
 	if st == nil || st.Len() == 0 {
@@ -371,15 +375,68 @@ func BestLoopMachineExact(tab []profile.Pair, k, n int, st *profile.Stream) *Loo
 	}
 	checkLoopArgs(k, n)
 	t := NewCountTree(tab, k)
+	sets := replayCandidates(t, feasibleStates(k, n))
+	ms := make([]*LoopMachine, len(sets))
+	for i, states := range sets {
+		ms[i] = newLoopMachine(t, states)
+	}
+	rescoreRuns(ms, st)
 	var best *LoopMachine
-	for _, states := range replayCandidates(t, feasibleStates(k, n)) {
-		m := newLoopMachine(t, states)
-		m.Rescore(st)
+	for _, m := range ms {
 		if best == nil || m.Hits > best.Hits {
 			best = m
 		}
 	}
 	return best
+}
+
+// rescoreRuns is Rescore for every machine in ms, in one pass over the
+// stream. It reads the stream a run of equal outcomes at a time. Within a
+// run of outcome o, each machine steps one outcome at a time until it
+// reaches a state whose o-edge loops back to itself; every outcome left in
+// the run then lands in that state, so they are added there at once. A
+// loop branch's stream is mostly long taken runs that a chain machine
+// absorbs in its last state, so most runs cost O(1) per machine.
+func rescoreRuns(ms []*LoopMachine, st *profile.Stream) {
+	type walk struct {
+		next   [][2]int
+		counts []profile.Pair
+		s      int
+	}
+	ws := make([]walk, len(ms))
+	for i, m := range ms {
+		ws[i] = walk{next: m.delta(), counts: make([]profile.Pair, len(m.States)), s: m.Init}
+	}
+	for i, n := 0, 0; i < st.Len(); i += n {
+		var taken bool
+		taken, n = st.RunAt(i)
+		o := 0
+		if taken {
+			o = 1
+		}
+		for wi := range ws {
+			w := &ws[wi]
+			s, left := w.s, n
+			for ; left > 0 && w.next[s][o] != s; left-- {
+				w.counts[s].Add(taken)
+				s = w.next[s][o]
+			}
+			if taken {
+				w.counts[s].Taken += uint64(left)
+			} else {
+				w.counts[s].NotTaken += uint64(left)
+			}
+			w.s = s
+		}
+	}
+	for i, m := range ms {
+		m.Hits, m.Total = 0, 0
+		for j, c := range ws[i].counts {
+			m.PredTaken[j] = c.MajorityTaken()
+			m.Hits += c.Hits()
+			m.Total += c.Total()
+		}
+	}
 }
 
 // replayCandidates returns the state sets BestLoopMachineExact replays for

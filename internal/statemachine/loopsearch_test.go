@@ -1,8 +1,10 @@
 package statemachine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/profile"
@@ -120,18 +122,8 @@ func randomTable(rng *rand.Rand, k int) []profile.Pair {
 // streamTable runs an LCG-driven outcome stream through a 9-bit local
 // history and returns its table and stream.
 func streamTable(seed uint32, events int) ([]profile.Pair, *profile.Stream) {
-	lh := profile.NewLocalHistory(1, 9)
-	st := profile.NewStreams(1)
-	tm := term(0)
-	x := seed
-	period := 2 + int(seed%7)
-	for i := 0; i < events; i++ {
-		x = x*1664525 + 1013904223
-		o := (i%period != 0) != (x&0x70000 == 0)
-		lh.RecordBranch(tm.Site, o)
-		st.RecordBranch(tm.Site, o)
-	}
-	return lh.Table(0), st.Site(0)
+	o := lcgOutcomes(seed, events)
+	return localTable(o, 9), outcomeStream(o)
 }
 
 func TestBestLoopMachinesMatchesReference(t *testing.T) {
@@ -172,24 +164,142 @@ func TestReplayCandidatesMatchReference(t *testing.T) {
 			}
 		}
 	}
-	// End to end on real streams: the replayed winner must match too.
-	for seed := uint32(1); seed <= 4; seed++ {
-		tab, st := streamTable(seed, 3000)
+	// End to end on streams: the replayed winner must match too.
+	for _, c := range exactStreams() {
+		tab := localTable(c.outcomes, 9)
+		st := outcomeStream(c.outcomes)
 		tree := NewCountTree(tab, 9)
-		for _, n := range []int{2, 4, 5, 7} {
-			var want *LoopMachine
-			for _, states := range refReplayCandidates(tree, n) {
-				m := newLoopMachine(tree, states)
-				m.Rescore(st)
-				if want == nil || m.Hits > want.Hits {
-					want = m
-				}
+		for n := 2; n <= 10; n++ {
+			want := BestLoopMachine(tab, 9, n) // no stream: table scoring
+			if st.Len() > 0 {
+				want = refExactMachine(tree, st, refReplayCandidates(tree, n))
 			}
 			if got := BestLoopMachineExact(tab, 9, n, st); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d n=%d: exact %v, reference %v", seed, n, got, want)
+				t.Fatalf("%s n=%d: exact %v, reference %v", c.name, n, got, want)
 			}
 		}
 	}
+}
+
+// exactStreams are the outcome strings the exact search is checked on:
+// LCG-driven loop streams, the degenerate one-direction and alternating
+// shapes, long loop-shaped runs, and lengths on and around word
+// boundaries.
+func exactStreams() []struct{ name, outcomes string } {
+	var out []struct{ name, outcomes string }
+	add := func(name, outcomes string) {
+		out = append(out, struct{ name, outcomes string }{name, outcomes})
+	}
+	for seed := uint32(1); seed <= 4; seed++ {
+		add(fmt.Sprintf("lcg%d", seed), lcgOutcomes(seed, 3000))
+	}
+	add("all-taken", strings.Repeat("1", 100_000))
+	add("all-not-taken", strings.Repeat("0", 100_000))
+	add("loop-shaped", repeat(strings.Repeat("1", 200)+"0", 300)+repeat(strings.Repeat("1", 7)+"0", 500))
+	add("alternating", repeat("10", 5000))
+	add("empty", "")
+	for _, n := range []int{63, 64, 65, 1<<16 - 1, 1 << 16, 1<<16 + 1} {
+		add(fmt.Sprintf("len%d", n), lcgOutcomes(uint32(n), n))
+	}
+	return out
+}
+
+// lcgOutcomes is the outcome string of streamTable's LCG-driven stream.
+func lcgOutcomes(seed uint32, events int) string {
+	b := make([]byte, events)
+	x := seed
+	period := 2 + int(seed%7)
+	for i := range b {
+		x = x*1664525 + 1013904223
+		b[i] = '0'
+		if (i%period != 0) != (x&0x70000 == 0) {
+			b[i] = '1'
+		}
+	}
+	return string(b)
+}
+
+func outcomeStream(outcomes string) *profile.Stream {
+	st := profile.NewStreams(1)
+	for _, ch := range outcomes {
+		st.RecordBranch(0, ch == '1')
+	}
+	return st.Site(0)
+}
+
+// refExactMachine is the bit-at-a-time reference for BestLoopMachineExact:
+// build each candidate, Rescore it over the stream on its own, and keep
+// the first with the most hits.
+func refExactMachine(tree *CountTree, st *profile.Stream, cands [][]Pattern) *LoopMachine {
+	var want *LoopMachine
+	for _, states := range cands {
+		m := newLoopMachine(tree, states)
+		m.Rescore(st)
+		if want == nil || m.Hits > want.Hits {
+			want = m
+		}
+	}
+	return want
+}
+
+// FuzzRescoreRuns checks the one-pass run fold against Rescore on
+// arbitrary tables and streams: every candidate's scores and predictions,
+// and the winner, must equal the bit-at-a-time reference. The table bytes
+// give the history length and the pattern counts; each stream byte is one
+// run, its low bit the direction and the rest its length, so runs reach
+// across word boundaries.
+func FuzzRescoreRuns(f *testing.F) {
+	f.Add([]byte{8, 3, 1, 0, 9}, []byte{0xff, 0x02, 0xff, 0xff, 0x01}, uint8(5))
+	f.Add([]byte{1, 5, 5}, []byte{0x03, 0x00, 0x03, 0x00}, uint8(0))
+	f.Add([]byte{2}, []byte{0x7f, 0x7e}, uint8(8))
+	f.Fuzz(func(t *testing.T, tabBytes, runs []byte, size uint8) {
+		if len(tabBytes) == 0 || len(runs) > 512 {
+			return
+		}
+		k := 1 + int(tabBytes[0])%9
+		tab := make([]profile.Pair, 1<<k)
+		for i, b := range tabBytes[1:] {
+			if i/2 >= len(tab) {
+				break
+			}
+			if i%2 == 0 {
+				tab[i/2].Taken = uint64(b)
+			} else {
+				tab[i/2].NotTaken = uint64(b)
+			}
+		}
+		var st profile.Stream
+		for _, b := range runs {
+			for j := 0; j <= int(b>>1); j++ {
+				st.Append(b&1 == 1)
+			}
+		}
+		n := 2 + int(size)%9
+		tree := NewCountTree(tab, k)
+		cands := replayCandidates(tree, feasibleStates(k, n))
+		ms := make([]*LoopMachine, len(cands))
+		for i, states := range cands {
+			ms[i] = newLoopMachine(tree, states)
+		}
+		rescoreRuns(ms, &st)
+		var want *LoopMachine
+		for i, states := range cands {
+			ref := newLoopMachine(tree, states)
+			ref.Rescore(&st)
+			if !reflect.DeepEqual(ms[i], ref) {
+				t.Fatalf("k=%d n=%d candidate %d: run fold %v, Rescore %v", k, n, i, ms[i], ref)
+			}
+			if want == nil || ref.Hits > want.Hits {
+				want = ref
+			}
+		}
+		if st.Len() == 0 {
+			return
+		}
+		if got := BestLoopMachineExact(tab, k, n, &st); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d n=%d: exact %v, reference %v", k, n, got, want)
+		}
+	})
 }
 
 // bruteBestHits scores every set of n patterns of length ≤ k that is a
