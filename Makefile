@@ -66,11 +66,12 @@ check:
 	$(GO) test -run='^$$' -fuzz=FuzzVerify -fuzztime=$(FUZZTIME) ./internal/analysis
 
 # Regenerate the committed krallbench golden files after an intended
-# output change. The service's golden JSON responses regenerate the same
-# way: `go test ./internal/service -run TestGolden -update`.
+# output change. The service's golden JSON responses and the replicate
+# and krallcheck CLI goldens regenerate the same way.
 golden:
 	$(GO) test ./cmd/krallbench -run TestGolden -update
 	$(GO) test ./internal/service -run TestGolden -update
+	$(GO) test ./cmd/replicate ./cmd/krallcheck -run TestGolden -update
 
 # Run the prediction service; see SERVICE.md for the API.
 serve:

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/predict"
@@ -415,7 +416,7 @@ func BenchmarkProfileCollection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := profile.New(c.NSites, profile.Options{})
-		if _, err := c.Run(bench.RunConfig{Budget: 100_000, Scale: 1 << 30}, p); err != nil {
+		if _, err := c.Run(core.RunConfig{Budget: 100_000}, p); err != nil {
 			b.Fatal(err)
 		}
 	}

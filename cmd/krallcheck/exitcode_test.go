@@ -115,6 +115,16 @@ func TestExitTwoOnMalformedInput(t *testing.T) {
 		if code := run(append(append([]string{}, m.args...), "-workload", "no-such-workload"), &out, &errOut); code != 2 {
 			t.Errorf("%s: unknown workload exit %d, want 2", m.name, code)
 		}
+		// A seed override on a program that declares no wseed global is
+		// malformed input, never a silently ignored flag.
+		good := write(t, "good.bl", goodSrc)
+		errOut.Reset()
+		if code := run(append(append([]string{}, m.args...), "-seed", "7", good), &out, &errOut); code != 2 {
+			t.Errorf("%s: -seed without wseed exit %d, want 2", m.name, code)
+		}
+		if want := "krallcheck: " + good + ": "; !strings.HasPrefix(errOut.String(), want) || !strings.Contains(errOut.String(), "wseed") {
+			t.Errorf("%s: -seed without wseed: stderr %q, want %q…wseed…", m.name, errOut.String(), want)
+		}
 	}
 }
 

@@ -37,15 +37,14 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/indirect"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/replicate"
 	"repro/internal/statemachine"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -61,6 +60,12 @@ type options struct {
 	lintOnly bool
 	predict  bool
 	quiet    bool
+}
+
+// runConfig is the profiling run's configuration. Only workloads declare
+// wseed, so -seed on a program without it is an error.
+func (o options) runConfig() core.RunConfig {
+	return core.RunConfig{Budget: o.budget, Seed: o.seed}
 }
 
 // run is the testable entry point; it returns the process exit code.
@@ -181,41 +186,20 @@ func checkOne(name string, prog *ir.Program, opts options, stdout, stderr io.Wri
 	// Profile the program so machine selection and the profile-consistency
 	// pass have real data to check; switch dispatches feed the target
 	// distribution the clustering pass consumes.
-	prof := profile.New(nSites, profile.Options{})
-	targets := trace.NewTargetCounts(nSites)
-	m := interp.New(prog)
-	m.MaxBranches = opts.budget
-	m.Hook = prof.Branch
-	m.SwHook = func(t *ir.Term, outcome int32) {
-		targets.RecordSwitch(t.Orig, outcome, 1)
-	}
-	if opts.seed != 0 {
-		// Only workloads declare wseed; ad-hoc programs simply lack it.
-		_ = m.SetGlobal("wseed", opts.seed)
-	}
-	if _, err := m.Run(); err != nil && err != interp.ErrLimit {
+	prof, err := core.Profile(prog, nSites, profile.Options{}, opts.runConfig())
+	if err != nil {
 		fmt.Fprintf(stderr, "krallcheck: %s: profiling run: %v\n", name, err)
 		return 2
 	}
-	feats := predict.Analyze(prog)
-	choices := statemachine.Select(prof, feats, statemachine.Options{
+	sel := core.Plan(prof, predict.Analyze(prog), statemachine.Options{
 		MaxStates:  opts.states,
 		MaxPathLen: 1,
 	})
-	preds := predict.ProfileStatic(prof.Counts).Preds
 
-	diags := analysis.Lint(prog, choices, prof)
+	diags := analysis.Lint(prog, sel.Choices, prof)
 	verified := false
 	if !opts.lintOnly {
-		clone := ir.CloneProgram(prog)
-		ropts := replicate.Options{Verify: true, MaxSizeFactor: opts.sizeFac}
-		var st *replicate.Stats
-		var err error
-		if opts.joint {
-			st, err = replicate.ApplyJoint(clone, choices, preds, ropts)
-		} else {
-			st, err = replicate.ApplyOpts(clone, choices, preds, ropts)
-		}
+		_, st, err := core.Apply(prog, sel, replicate.Options{Verify: true, MaxSizeFactor: opts.sizeFac}, opts.joint)
 		if st != nil {
 			diags = append(diags, st.Diags...)
 		}
@@ -241,7 +225,7 @@ func checkOne(name string, prog *ir.Program, opts options, stdout, stderr io.Wri
 	if nSwitches > 0 && !opts.lintOnly {
 		snap := ir.CloneProgram(prog)
 		clustered := ir.CloneProgram(prog)
-		st, prov, err := indirect.Cluster(clustered, targets, indirect.Options{})
+		st, prov, err := indirect.Cluster(clustered, prof.Targets, indirect.Options{})
 		if err != nil {
 			fmt.Fprintf(stderr, "krallcheck: %s: clustering: %v\n", name, err)
 			return 2

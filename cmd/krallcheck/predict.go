@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/bench"
-	"repro/internal/interp"
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/predict"
 	"repro/internal/profile"
@@ -39,23 +39,6 @@ func missRate(misses, total uint64) string {
 	return fmt.Sprintf("%6.2f", 100*float64(misses)/float64(total))
 }
 
-// profileCounts runs the program once under the interpreter with the
-// profiling hook attached, honouring the budget and seed options.
-func profileCounts(prog *ir.Program, nSites int, opts options) (*profile.Profile, error) {
-	prof := profile.New(nSites, profile.Options{})
-	m := interp.New(prog)
-	m.MaxBranches = opts.budget
-	m.Hook = prof.Branch
-	if opts.seed != 0 {
-		// Only workloads declare wseed; ad-hoc programs simply lack it.
-		_ = m.SetGlobal("wseed", opts.seed)
-	}
-	if _, err := m.Run(); err != nil && err != interp.ErrLimit {
-		return nil, err
-	}
-	return prof, nil
-}
-
 // predictOne prints one target's static prediction report and returns its
 // exit code. Lint and the StaticPredict diagnostics run (errors exit 1);
 // the replication verifier does not.
@@ -70,7 +53,7 @@ func predictOne(name string, prog *ir.Program, opts options, stdout, stderr io.W
 		fmt.Fprintf(stderr, "krallcheck: %s: static analysis: %v\n", name, err)
 		return 2
 	}
-	prof, err := profileCounts(prog, nSites, opts)
+	prof, err := core.Profile(prog, nSites, profile.Options{}, opts.runConfig())
 	if err != nil {
 		fmt.Fprintf(stderr, "krallcheck: %s: profiling run: %v\n", name, err)
 		return 2
@@ -125,7 +108,7 @@ func predictCatalog(opts options, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "krallcheck: %s: static analysis: %v\n", w.Name, err)
 			return 2
 		}
-		prof, err := profileCounts(c.Prog, c.NSites, opts)
+		prof, err := core.Profile(c.Prog, c.NSites, profile.Options{}, opts.runConfig())
 		if err != nil {
 			fmt.Fprintf(stderr, "krallcheck: %s: profiling run: %v\n", w.Name, err)
 			return 2

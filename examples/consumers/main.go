@@ -7,16 +7,15 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/layout"
-	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/replicate"
 	"repro/internal/statemachine"
@@ -38,29 +37,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Profile the original.
-	prof, _, err := c.ProfileRun(bench.RunConfig{Budget: *budget, Scale: 1 << 30}, profile.Options{})
+	// Profile the original, then replicate.
+	rc := core.RunConfig{Budget: *budget}
+	prof, err := core.Profile(c.Prog, c.NSites, profile.Options{}, rc)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Replicate.
-	static := predict.ProfileStatic(prof.Counts)
-	choices := statemachine.Select(prof, c.Features, statemachine.Options{
-		MaxStates: 5, MaxPathLen: 1,
-	})
-	clone := ir.CloneProgram(c.Prog)
-	st, err := replicate.ApplyOpts(clone, choices, static.Preds, replicate.Options{MaxSizeFactor: 3})
+	sel := core.Plan(prof, c.Features, statemachine.Options{MaxStates: 5, MaxPathLen: 1})
+	clone, st, err := core.Apply(c.Prog, sel, replicate.Options{MaxSizeFactor: 3}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("consumers on %q (replicated at %.2fx size)\n\n", w.Name, st.SizeFactor())
 	fmt.Printf("  %-34s %10s %10s\n", "", "original", "replicated")
-	origLay, origScope := measure(c.Prog, *budget)
-	replLay, replScope := measure(clone, *budget)
-	phO := layoutRate(c.Prog, *budget, true)
-	phR := layoutRate(clone, *budget, true)
+	origLay, origScope := measure(c.Prog, rc)
+	replLay, replScope := measure(clone, rc)
+	phO := layoutRate(c.Prog, rc, true)
+	phR := layoutRate(clone, rc, true)
 	fmt.Printf("  %-34s %9.2f%% %9.2f%%\n", "taken transfers, naive layout", origLay, replLay)
 	fmt.Printf("  %-34s %9.2f%% %9.2f%%\n", "taken transfers, PH layout", phO, phR)
 	fmt.Printf("  %-34s %10.1f %10.1f\n", "avg dynamic trace length (instrs)", origScope, replScope)
@@ -68,30 +62,26 @@ func main() {
 
 // measure profiles a program and returns (naive-layout taken rate, avg
 // dynamic trace length).
-func measure(prog *ir.Program, budget uint64) (float64, float64) {
-	bc, counts := runCounts(prog, budget)
+func measure(prog *ir.Program, rc core.RunConfig) (float64, float64) {
+	bc, counts := runCounts(prog, rc)
 	lay := layout.EvaluateProgram(prog, bc, counts, false)
 	scope := superblock.MeasureProgram(prog, bc, counts)
 	return lay.TakenRate(), scope.AvgDynamicLength()
 }
 
-func layoutRate(prog *ir.Program, budget uint64, ph bool) float64 {
-	bc, counts := runCounts(prog, budget)
+func layoutRate(prog *ir.Program, rc core.RunConfig, ph bool) float64 {
+	bc, counts := runCounts(prog, rc)
 	return layout.EvaluateProgram(prog, bc, counts, ph).TakenRate()
 }
 
-func runCounts(prog *ir.Program, budget uint64) ([][]uint64, *trace.Counts) {
-	n := prog.NumberBranches(false)
-	counts := trace.NewCounts(n)
-	m := interp.New(prog)
-	m.EnableBlockCounts()
-	m.Hook = counts.Branch
-	m.MaxBranches = budget
-	if err := m.SetGlobal("wscale", 1<<30); err != nil {
+func runCounts(prog *ir.Program, rc core.RunConfig) ([][]uint64, *trace.Counts) {
+	counts := trace.NewCounts(prog.NumberBranches(false))
+	e, err := core.Exec(prog, rc, func(m *interp.Machine) {
+		m.EnableBlockCounts()
+		m.Hook = counts.Branch
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
-		log.Fatal(err)
-	}
-	return m.BlockCounts(), counts
+	return e.BlockCounts(), counts
 }

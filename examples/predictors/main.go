@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -57,7 +58,7 @@ func main() {
 	for _, e := range evals {
 		sinks = append(sinks, e)
 	}
-	if _, err := c.Run(bench.RunConfig{Budget: *budget, Scale: 1 << 30}, sinks); err != nil {
+	if _, err := c.Run(core.RunConfig{Budget: *budget}, sinks); err != nil {
 		log.Fatal(err)
 	}
 

@@ -38,14 +38,14 @@ func main() {
 	fmt.Println("quickstart: code replication on an alternating branch")
 	fmt.Printf("  branches profiled:   %d events over %d sites\n",
 		res.Profile.Counts.TotalAll(), res.Profile.NSites)
-	fmt.Printf("  profile baseline:    %.2f%% mispredicted\n", res.BaselineRate)
-	fmt.Printf("  replicated:          %.2f%% mispredicted\n", res.ReplicatedRate)
+	fmt.Printf("  profile baseline:    %.2f%% mispredicted\n", res.Baseline.Rate())
+	fmt.Printf("  replicated:          %.2f%% mispredicted\n", res.Transformed.Rate())
 	fmt.Printf("  code size:           %d -> %d instructions (factor %.2f)\n",
 		res.Stats.InstrsBefore, res.Stats.InstrsAfter, res.SizeFactor())
-	if res.BaselineChecksum == res.ReplicatedChecksum {
+	if res.Baseline.Checksum == res.Transformed.Checksum {
 		fmt.Println("  semantics:           identical checksums — transformation is sound")
 	} else {
-		log.Fatalf("checksum mismatch: %d vs %d", res.BaselineChecksum, res.ReplicatedChecksum)
+		log.Fatalf("checksum mismatch: %d vs %d", res.Baseline.Checksum, res.Transformed.Checksum)
 	}
 	for i := range res.Choices {
 		c := &res.Choices[i]

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -37,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	const budget = 300_000
-	if _, err := c.Run(bench.RunConfig{Budget: budget, Scale: 1 << 30}, tw); err != nil {
+	if _, err := c.Run(core.RunConfig{Budget: budget}, tw); err != nil {
 		log.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {

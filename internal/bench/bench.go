@@ -6,14 +6,13 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/predict"
-	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -81,56 +80,18 @@ func Compile(w Workload) (*Compiled, error) {
 	}, nil
 }
 
-// RunConfig controls one execution.
-type RunConfig struct {
-	// Budget stops the run after this many branch events (0 = run the
-	// program to completion). Hitting the budget is normal completion.
-	Budget uint64
-	// Seed overrides the program's wseed global when non-zero.
-	Seed int64
-	// Scale overrides the program's wscale global when non-zero; programs
-	// default to a size suited to a few-million-branch budget.
-	Scale int64
-}
-
-// Run executes the compiled program on the interpreter, feeding every
-// branch and switch event to sink (nil for none; fan out with trace.Multi),
-// and returns the machine for its counters.
-func (c *Compiled) Run(cfg RunConfig, sink trace.Sink) (*interp.Machine, error) {
-	return runProgram(c.Prog, cfg, sink)
-}
-
-// runProgram executes any program on the interpreter under the run config.
-func runProgram(prog *ir.Program, cfg RunConfig, sink trace.Sink) (*interp.Machine, error) {
-	m := interp.New(prog)
-	m.MaxBranches = cfg.Budget
-	if cfg.Seed != 0 {
-		if err := m.SetGlobal("wseed", cfg.Seed); err != nil {
-			return nil, err
+// Run executes the compiled program under rc, feeding every branch and
+// switch event to sink (nil for none; fan out with trace.Multi), and
+// returns the finished execution for its counters.
+func (c *Compiled) Run(rc core.RunConfig, sink trace.Sink) (*core.Execution, error) {
+	e, err := core.Exec(c.Prog, rc, func(m *interp.Machine) {
+		if sink != nil {
+			m.Hook = func(t *ir.Term, taken bool) { sink.RecordBranch(t.Site, taken) }
+			m.SwHook = func(t *ir.Term, outcome int32) { sink.RecordSwitch(t.Orig, outcome, 1) }
 		}
-	}
-	if cfg.Scale != 0 {
-		if err := m.SetGlobal("wscale", cfg.Scale); err != nil {
-			return nil, err
-		}
-	}
-	if sink != nil {
-		m.Hook = func(t *ir.Term, taken bool) { sink.RecordBranch(t.Site, taken) }
-		m.SwHook = func(t *ir.Term, outcome int32) { sink.RecordSwitch(t.Orig, outcome, 1) }
-	}
-	_, err := m.Run()
-	if err != nil && !errors.Is(err, interp.ErrLimit) {
-		return nil, fmt.Errorf("bench: running %s: %w", prog.Funcs[0].Name, err)
-	}
-	return m, nil
-}
-
-// ProfileRun runs the workload once and returns the full profile bundle.
-func (c *Compiled) ProfileRun(cfg RunConfig, opts profile.Options) (*profile.Profile, *interp.Machine, error) {
-	p := profile.New(c.NSites, opts)
-	m, err := c.Run(cfg, p)
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("bench: running %s: %w", c.Workload.Name, err)
 	}
-	return p, m, nil
+	return e, nil
 }

@@ -3,11 +3,11 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/predict"
 	"repro/internal/replicate"
 	"repro/internal/runner"
-	"repro/internal/statemachine"
 	"repro/internal/trace"
 )
 
@@ -48,9 +48,7 @@ func (s *Suite) CrossDataset() (*Table, error) {
 			return col{}, err
 		}
 		c.replSelf = r.rate()
-		c.replCross, err = s.measuredRate(r.Prog, RunConfig{
-			Budget: s.Cfg.Budget, Seed: s.Cfg.CrossSeed, Scale: scaleFor(s.Cfg),
-		})
+		c.replCross, err = s.measuredRate(r.Prog, s.run(s.Cfg.CrossSeed))
 		if err != nil {
 			return col{}, err
 		}
@@ -78,9 +76,9 @@ func (s *Suite) CrossDataset() (*Table, error) {
 // misprediction rate. Transformed clones have no recorded trace — their
 // branch streams differ from the original's — so this is always a live run,
 // counted as such in the engine stats.
-func (s *Suite) measuredRate(prog *ir.Program, cfg RunConfig) (Cell, error) {
+func (s *Suite) measuredRate(prog *ir.Program, rc core.RunConfig) (Cell, error) {
 	s.countLiveRun()
-	m, err := runProgram(prog, cfg, nil)
+	m, err := core.Measure(prog, rc, nil)
 	if err != nil {
 		return Cell{}, err
 	}
@@ -114,22 +112,17 @@ func (r *replicated) rate() Cell { return rateCell(r.Mispredicted, r.Predicted) 
 func (s *Suite) replicatedFor(d *WorkloadData, maxStates int) (*replicated, error) {
 	key := fmt.Sprintf("%sreplicated/%s/n%d", s.prefix, d.C.Workload.Name, maxStates)
 	return runner.Cached(s.eng.Cache(), key, func() (*replicated, error) {
-		choices, err := s.selectFor(d, statemachine.Options{
-			MaxStates:  maxStates,
-			MaxPathLen: 1,
-		})
+		sel, err := s.selectionFor(d, maxStates)
 		if err != nil {
 			return nil, err
 		}
-		prog := ir.CloneProgram(d.C.Prog)
-		st, err := replicate.ApplyOpts(prog, choices, predict.ProfileStatic(d.Prof.Counts).Preds,
-			replicate.Options{MaxSizeFactor: 3})
+		prog, st, err := core.Apply(d.C.Prog, sel, replicate.Options{MaxSizeFactor: 3}, false)
 		if err != nil {
 			return nil, err
 		}
 		// countingRun renumbers the sites, before the program is shared.
 		s.countLiveRun()
-		counts, m, err := countingRun(prog, s.Cfg)
+		counts, m, err := countingRun(prog, s.run(s.Cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +160,7 @@ func (s *Suite) MeasuredReplication(maxStates int) (*Table, error) {
 		} else {
 			baseline := ir.CloneProgram(d.C.Prog)
 			replicate.Annotate(baseline, static.Preds)
-			c.base, err = s.measuredRate(baseline, RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)})
+			c.base, err = s.measuredRate(baseline, s.run(s.Cfg.Seed))
 			if err != nil {
 				return col{}, err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/profile"
 	"repro/internal/runner"
@@ -145,7 +146,7 @@ func NewSuiteEngine(cfg ExpConfig, eng *runner.Engine) (*Suite, error) {
 	s := &Suite{
 		Cfg:    cfg,
 		eng:    eng,
-		prefix: fmt.Sprintf("b%d/s%d/x%d/", cfg.Budget, cfg.Seed, scaleFor(cfg)),
+		prefix: fmt.Sprintf("b%d/s%d/x%d/", cfg.Budget, cfg.Seed, cfg.Scale),
 	}
 	if cfg.ForceLive {
 		// Live-profiled data is identical to replayed data, but the
@@ -189,7 +190,7 @@ func (s *Suite) profileWorkload(w Workload) (*WorkloadData, error) {
 		}
 		sinks := trace.Multi{d.Prof, d.Local1, d.Global1, &d.Last, &d.TwoBit, &d.TwoLevel, &d.GShare}
 		if s.Cfg.ForceLive {
-			m, err := c.Run(RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)}, sinks)
+			m, err := c.Run(s.run(s.Cfg.Seed), sinks)
 			if err != nil {
 				return nil, err
 			}
@@ -220,9 +221,7 @@ func (s *Suite) countsFor(d *WorkloadData, seed int64) (*trace.Counts, error) {
 	return runner.Cached(s.eng.Cache(), key, func() (*trace.Counts, error) {
 		counts := trace.NewCounts(d.C.NSites)
 		if s.Cfg.ForceLive {
-			if _, err := d.C.Run(RunConfig{
-				Budget: s.Cfg.Budget, Seed: seed, Scale: scaleFor(s.Cfg),
-			}, counts); err != nil {
+			if _, err := d.C.Run(s.run(seed), counts); err != nil {
 				return nil, err
 			}
 			s.countLiveRun()
@@ -250,16 +249,22 @@ func (s *Suite) selectFor(d *WorkloadData, opts statemachine.Options) ([]statema
 	})
 }
 
-// scaleFor makes budgeted runs never finish early: with a budget set, the
-// workload scale is raised far beyond it.
-func scaleFor(cfg ExpConfig) int64 {
-	if cfg.Scale != 0 {
-		return cfg.Scale
+// selectionFor is workload d's realizable plan of up to maxStates states:
+// the cached selection at path length 1 and the profile's prediction
+// vector, the input the measured experiments hand to core.Apply.
+func (s *Suite) selectionFor(d *WorkloadData, maxStates int) (core.Selection, error) {
+	choices, err := s.selectFor(d, statemachine.Options{MaxStates: maxStates, MaxPathLen: 1})
+	if err != nil {
+		return core.Selection{}, err
 	}
-	if cfg.Budget != 0 {
-		return 1 << 30
-	}
-	return 0
+	return core.Selection{Choices: choices, Preds: predict.ProfileStatic(d.Prof.Counts).Preds}, nil
+}
+
+// run is the configuration of every workload run of the suite under a
+// dataset seed. Budgeted runs never finish early: core raises the workload
+// scale beyond the budget unless Cfg.Scale sets it.
+func (s *Suite) run(seed int64) core.RunConfig {
+	return core.RunConfig{Budget: s.Cfg.Budget, Seed: seed, Scale: s.Cfg.Scale}
 }
 
 // colNames returns the workload column headers.

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"repro/internal/ir"
-	"repro/internal/predict"
+	"repro/internal/core"
 	"repro/internal/replicate"
 	"repro/internal/runner"
-	"repro/internal/statemachine"
 )
 
 // JointTable runs the §6 joint-machine experiment: the same strategy
@@ -23,37 +21,24 @@ func (s *Suite) JointTable() (*Table, error) {
 	type col struct{ seqRate, jointRate, seqSize, jointSize Cell }
 	cols, err := runner.Map(s.eng, s.Data, func(_ int, d *WorkloadData) (col, error) {
 		var c col
-		static := predict.ProfileStatic(d.Prof.Counts)
-		choices, err := s.selectFor(d, statemachine.Options{
-			MaxStates:  maxStates,
-			MaxPathLen: 1,
-		})
+		sel, err := s.selectionFor(d, maxStates)
 		if err != nil {
 			return col{}, err
 		}
-		runCfg := RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)}
-
-		seq := ir.CloneProgram(d.C.Prog)
-		seqStats, err := replicate.ApplyOpts(seq, choices, static.Preds, replicate.Options{MaxSizeFactor: 4})
-		if err != nil {
+		measure := func(joint bool) (rate, size Cell, err error) {
+			prog, st, err := core.Apply(d.C.Prog, sel, replicate.Options{MaxSizeFactor: 4}, joint)
+			if err != nil {
+				return Cell{}, Cell{}, err
+			}
+			rate, err = s.measuredRate(prog, s.run(s.Cfg.Seed))
+			return rate, Cell{Value: st.SizeFactor(), Valid: true}, err
+		}
+		if c.seqRate, c.seqSize, err = measure(false); err != nil {
 			return col{}, err
 		}
-		c.seqRate, err = s.measuredRate(seq, runCfg)
-		if err != nil {
+		if c.jointRate, c.jointSize, err = measure(true); err != nil {
 			return col{}, err
 		}
-		c.seqSize = Cell{Value: seqStats.SizeFactor(), Valid: true}
-
-		joint := ir.CloneProgram(d.C.Prog)
-		jointStats, err := replicate.ApplyJoint(joint, choices, static.Preds, replicate.Options{MaxSizeFactor: 4})
-		if err != nil {
-			return col{}, err
-		}
-		c.jointRate, err = s.measuredRate(joint, runCfg)
-		if err != nil {
-			return col{}, err
-		}
-		c.jointSize = Cell{Value: jointStats.SizeFactor(), Valid: true}
 		return c, nil
 	})
 	if err != nil {

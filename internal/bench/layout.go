@@ -1,8 +1,7 @@
 package bench
 
 import (
-	"errors"
-
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/layout"
@@ -38,7 +37,7 @@ func (s *Suite) LayoutTable() (*Table, error) {
 			c.origPH = Cell{Value: pv.TakenRate(), Valid: true}
 		} else {
 			s.countLiveRun()
-			c.origNaive, c.origPH, err = layoutRates(d.C.Prog, s.Cfg)
+			c.origNaive, c.origPH, err = layoutRates(d.C.Prog, s.run(s.Cfg.Seed))
 			if err != nil {
 				return col{}, err
 			}
@@ -71,8 +70,8 @@ func (s *Suite) LayoutTable() (*Table, error) {
 
 // layoutRates profiles one program (block counts + branch counts) and
 // evaluates both layouts.
-func layoutRates(prog *ir.Program, cfg ExpConfig) (naive, ph Cell, err error) {
-	counts, m, err := countingRun(prog, cfg)
+func layoutRates(prog *ir.Program, rc core.RunConfig) (naive, ph Cell, err error) {
+	counts, m, err := countingRun(prog, rc)
 	if err != nil {
 		return Cell{}, Cell{}, err
 	}
@@ -93,24 +92,13 @@ func layoutCells(prog *ir.Program, bc [][]uint64, counts *trace.Counts) (naive, 
 // experiments — and returns the counts and the machine, whose block counts
 // and static-prediction counters the caller reads. It renumbers the
 // program's sites first.
-func countingRun(prog *ir.Program, cfg ExpConfig) (*trace.Counts, *interp.Machine, error) {
-	n := prog.NumberBranches(false)
-	counts := trace.NewCounts(n)
-	m := interp.New(prog)
-	m.EnableBlockCounts()
-	m.Hook = counts.Branch
-	m.MaxBranches = cfg.Budget
-	if cfg.Seed != 0 {
-		if err := m.SetGlobal("wseed", cfg.Seed); err != nil {
-			return nil, nil, err
-		}
-	}
-	if sc := scaleFor(cfg); sc != 0 {
-		if err := m.SetGlobal("wscale", sc); err != nil {
-			return nil, nil, err
-		}
-	}
-	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
+func countingRun(prog *ir.Program, rc core.RunConfig) (*trace.Counts, *core.Execution, error) {
+	counts := trace.NewCounts(prog.NumberBranches(false))
+	m, err := core.Exec(prog, rc, func(m *interp.Machine) {
+		m.EnableBlockCounts()
+		m.Hook = counts.Branch
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	return counts, m, nil

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -37,7 +38,7 @@ func TestWorkloadsRunNaturally(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := RunConfig{Scale: 2}
+			cfg := core.RunConfig{Scale: 2}
 			m1, err := c.Run(cfg, nil)
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -70,11 +71,11 @@ func TestWorkloadSeedsChangeBehaviour(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m1, err := c.Run(RunConfig{Scale: 2, Seed: 1111}, nil)
+			m1, err := c.Run(core.RunConfig{Scale: 2, Seed: 1111}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m2, err := c.Run(RunConfig{Scale: 2, Seed: 999983}, nil)
+			m2, err := c.Run(core.RunConfig{Scale: 2, Seed: 999983}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +96,7 @@ func TestWorkloadBudgetStops(t *testing.T) {
 				t.Fatal(err)
 			}
 			counts := trace.NewCounts(c.NSites)
-			m, err := c.Run(RunConfig{Budget: 20000, Scale: 1000000}, counts)
+			m, err := c.Run(core.RunConfig{Budget: 20000, Scale: 1000000}, counts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/predict"
@@ -40,22 +40,12 @@ type RunArtifact struct {
 func (s *Suite) artifactFor(c *Compiled, seed int64) (*RunArtifact, error) {
 	key := fmt.Sprintf("%strace/%s/seed%d", s.prefix, c.Workload.Name, seed)
 	return runner.Cached(s.eng.Cache(), key, func() (*RunArtifact, error) {
-		m := interp.New(c.Prog)
-		m.MaxBranches = s.Cfg.Budget
-		m.EnableBlockCounts()
 		slab := trace.NewSlab(int(s.Cfg.Budget))
-		m.Rec = slab
-		if seed != 0 {
-			if err := m.SetGlobal("wseed", seed); err != nil {
-				return nil, err
-			}
-		}
-		if sc := scaleFor(s.Cfg); sc != 0 {
-			if err := m.SetGlobal("wscale", sc); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
+		m, err := core.Exec(c.Prog, s.run(seed), func(m *interp.Machine) {
+			m.EnableBlockCounts()
+			m.Rec = slab
+		})
+		if err != nil {
 			return nil, fmt.Errorf("bench: recording %s: %w", c.Workload.Name, err)
 		}
 		slab.Seal()

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/predict"
 	"repro/internal/replicate"
@@ -13,7 +14,7 @@ import (
 
 // TestReplicatedRunMatchesFreshClone checks the shared replicated run
 // against the way each experiment used to build and run its own copy: a
-// fresh selection, clone and transform, then runProgram for the
+// fresh selection, clone and transform, then core.Measure for the
 // static-prediction counters and countingRun for the branch and block
 // counts. Every figure the four measured experiments read must agree.
 func TestReplicatedRunMatchesFreshClone(t *testing.T) {
@@ -30,11 +31,11 @@ func TestReplicatedRunMatchesFreshClone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := runProgram(clone, RunConfig{Budget: s.Cfg.Budget, Seed: s.Cfg.Seed, Scale: scaleFor(s.Cfg)}, nil)
+		m, err := core.Measure(clone, s.run(s.Cfg.Seed), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts, cm, err := countingRun(clone, s.Cfg)
+		counts, cm, err := countingRun(clone, s.run(s.Cfg.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/runner"
 	"repro/internal/superblock"
@@ -30,7 +31,7 @@ func (s *Suite) ScopeTable() (*Table, error) {
 			c.orig = Cell{Value: so.AvgDynamicLength(), Valid: true}
 		} else {
 			s.countLiveRun()
-			so, err := scopeStats(d.C.Prog, s.Cfg)
+			so, err := scopeStats(d.C.Prog, s.run(s.Cfg.Seed))
 			if err != nil {
 				return col{}, err
 			}
@@ -62,8 +63,8 @@ func (s *Suite) ScopeTable() (*Table, error) {
 	return t, nil
 }
 
-func scopeStats(prog *ir.Program, cfg ExpConfig) (superblock.Stats, error) {
-	counts, m, err := countingRun(prog, cfg)
+func scopeStats(prog *ir.Program, rc core.RunConfig) (superblock.Stats, error) {
+	counts, m, err := countingRun(prog, rc)
 	if err != nil {
 		return superblock.Stats{}, err
 	}

@@ -1,10 +1,10 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -63,14 +63,8 @@ func MeasureTrace(names []string, budget uint64, rounds int) ([]TraceMeasurement
 		if err != nil {
 			return nil, err
 		}
-		m0 := interp.New(c.Prog)
-		m0.MaxBranches = budget
 		slab := trace.NewSlab(int(budget))
-		m0.Rec = slab
-		if err := m0.SetGlobal("wscale", 1<<30); err != nil {
-			return nil, err
-		}
-		if _, err := m0.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
+		if _, err := core.Exec(c.Prog, core.RunConfig{Budget: budget}, func(m *interp.Machine) { m.Rec = slab }); err != nil {
 			return nil, fmt.Errorf("bench: trace measurement %s: %w", w.Name, err)
 		}
 		slab.Seal()

@@ -4,11 +4,15 @@
 // so the machines become program structure, and verify the transformed
 // program by executing it.
 //
-// It is the programmatic equivalent of cmd/replicate and the backing of
-// the root package's public facade.
+// The pipeline's stages are exported on their own — Profile, Plan, Apply
+// and Measure, all built on the one run helper Exec — so the experiment
+// suite, the service and the command-line tools compose the same steps
+// and keep their own caching. Run composes them end to end; it is the
+// backing of cmd/replicate and of the root package's public facade.
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -21,6 +25,153 @@ import (
 	"repro/internal/statemachine"
 )
 
+// RunConfig is the one set of knobs every interpreter run takes.
+type RunConfig struct {
+	// Budget stops the run after this many branch events (0 = run the
+	// program to completion). Hitting it is normal completion, reported
+	// as truncated.
+	Budget uint64
+	// Seed sets the program's wseed global when non-zero.
+	Seed int64
+	// Scale sets the program's wscale global when non-zero. When it is
+	// zero under a budget, a declared wscale is raised to 1<<30 so the run
+	// does not end before the budget does.
+	Scale int64
+	// Ctx, when non-nil, stops the run once it is done.
+	Ctx context.Context
+}
+
+// MissingGlobalError reports a Seed or Scale override on a program that
+// declares no scalar global of that name.
+type MissingGlobalError struct{ Name string }
+
+func (e *MissingGlobalError) Error() string { return "program has no " + e.Name + " global" }
+
+// Execution is one finished run: the machine with its counters, main's
+// return value, and whether an execution limit cut the run short.
+type Execution struct {
+	*interp.Machine
+	Ret       int64
+	Truncated bool
+}
+
+// Exec runs prog once under rc. setup, when non-nil, attaches hooks,
+// counters or extra limits to the machine before it runs. An explicit Seed
+// or Scale on a program without that global is a *MissingGlobalError; an
+// execution limit (interp.ErrLimit) ends the run normally with Truncated
+// set; any other failure is returned.
+func Exec(prog *ir.Program, rc RunConfig, setup func(*interp.Machine)) (*Execution, error) {
+	m := interp.New(prog)
+	m.MaxBranches = rc.Budget
+	m.Ctx = rc.Ctx
+	if rc.Seed != 0 {
+		if err := m.SetGlobal("wseed", rc.Seed); err != nil {
+			return nil, &MissingGlobalError{"wseed"}
+		}
+	}
+	switch {
+	case rc.Scale != 0:
+		if err := m.SetGlobal("wscale", rc.Scale); err != nil {
+			return nil, &MissingGlobalError{"wscale"}
+		}
+	case rc.Budget != 0:
+		// Ad-hoc programs need not declare wscale; an array is no knob.
+		_ = m.SetGlobal("wscale", 1<<30)
+	}
+	if setup != nil {
+		setup(m)
+	}
+	ret, err := m.Run()
+	e := &Execution{Machine: m, Ret: ret}
+	if err != nil {
+		if !errors.Is(err, interp.ErrLimit) {
+			return nil, err
+		}
+		e.Truncated = true
+	}
+	return e, nil
+}
+
+// Profile runs prog once under rc and collects the full profile bundle
+// (pattern tables, outcome streams and switch targets) from its branch and
+// switch events. The caller numbers prog's nSites sites first.
+func Profile(prog *ir.Program, nSites int, opts profile.Options, rc RunConfig) (*profile.Profile, error) {
+	prof := profile.New(nSites, opts)
+	if _, err := Exec(prog, rc, func(m *interp.Machine) {
+		m.Hook = prof.Branch
+		m.SwHook = prof.Switch
+	}); err != nil {
+		return nil, err
+	}
+	return prof, nil
+}
+
+// Selection is the planning stage's product: the strategy chosen per
+// branch site, and the profile's majority-direction prediction vector that
+// annotates every site no machine takes over.
+type Selection struct {
+	Choices []statemachine.Choice
+	Preds   []ir.Prediction
+}
+
+// Plan selects a strategy per branch site from a profile.
+func Plan(prof *profile.Profile, feats []predict.SiteFeatures, opts statemachine.Options) Selection {
+	return Selection{
+		Choices: statemachine.Select(prof, feats, opts),
+		Preds:   predict.ProfileStatic(prof.Counts).Preds,
+	}
+}
+
+// Apply replicates a clone of prog so sel's machines become program
+// structure — with joint (§6) machines for same-loop branches when joint is
+// set — and returns the clone and what the replicator did. prog itself is
+// not modified. Stats may be non-nil alongside an error (the verifier's
+// diagnostics).
+func Apply(prog *ir.Program, sel Selection, opts replicate.Options, joint bool) (*ir.Program, *replicate.Stats, error) {
+	clone := ir.CloneProgram(prog)
+	apply := replicate.ApplyOpts
+	if joint {
+		apply = replicate.ApplyJoint
+	}
+	st, err := apply(clone, sel.Choices, sel.Preds, opts)
+	return clone, st, err
+}
+
+// Measurement is what one run of a statically annotated program shows.
+type Measurement struct {
+	// Predicted and Mispredicted count the annotated branches executed
+	// and the ones whose annotation was wrong.
+	Predicted, Mispredicted uint64
+	// Checksum digests every printed value; equal checksums under equal
+	// budgets show two programs computed the same thing.
+	Checksum uint64
+	// Truncated is set when the budget ended the run.
+	Truncated bool
+}
+
+// Rate is the misprediction percentage.
+func (m Measurement) Rate() float64 {
+	if m.Predicted == 0 {
+		return 0
+	}
+	return 100 * float64(m.Mispredicted) / float64(m.Predicted)
+}
+
+// Measure runs prog once under rc (setup as for Exec) and reports its
+// static-prediction counters.
+func Measure(prog *ir.Program, rc RunConfig, setup func(*interp.Machine)) (Measurement, error) {
+	e, err := Exec(prog, rc, setup)
+	if err != nil {
+		return Measurement{}, err
+	}
+	return Measurement{
+		Predicted:    e.Predicted,
+		Mispredicted: e.Mispredicted,
+		Checksum:     e.Checksum,
+		Truncated:    e.Truncated,
+	}, nil
+}
+
 // Config parameterises a pipeline run.
 type Config struct {
 	// MaxStates bounds every state machine (default 5).
@@ -28,16 +179,17 @@ type Config struct {
 	// MaxPathLen caps correlated path lengths; 1 (the default) keeps every
 	// selected machine realizable by the replicator.
 	MaxPathLen int
-	// MaxSizeFactor bounds code growth (default 3; 0 = unlimited).
+	// MaxSizeFactor bounds code growth (default 3).
 	MaxSizeFactor float64
-	// Budget bounds each run's branch events (0 = run to completion).
-	Budget uint64
 	// LocalK / GlobalK / PathM set the profile history lengths
 	// (defaults 9 / 9 / 3, the paper's).
 	LocalK, GlobalK, PathM int
-	// Globals are int globals set before every run (workload seeds and
-	// scales).
-	Globals map[string]int64
+	// Joint replicates same-loop branches with joint (§6) machines.
+	Joint bool
+	// Verify runs the replication-equivalence verifier on the transform.
+	Verify bool
+	// Run configures the profiling and both measuring runs.
+	Run RunConfig
 }
 
 func (c *Config) setDefaults() {
@@ -62,13 +214,11 @@ type Result struct {
 	Choices []statemachine.Choice
 	// Stats reports what the replicator did.
 	Stats *replicate.Stats
-	// BaselineRate and ReplicatedRate are measured misprediction
-	// percentages (profile-annotated original vs transformed program).
-	BaselineRate, ReplicatedRate float64
-	// BaselineChecksum and ReplicatedChecksum prove semantic equivalence
-	// when the runs complete naturally (equal budgets make them
-	// comparable under truncation too).
-	BaselineChecksum, ReplicatedChecksum uint64
+	// Baseline and Transformed are the measured runs of the
+	// profile-annotated original and of the transformed program. Equal
+	// checksums prove semantic equivalence when the runs complete
+	// naturally (equal budgets make them comparable under truncation too).
+	Baseline, Transformed Measurement
 }
 
 // SizeFactor is the measured code growth.
@@ -77,53 +227,49 @@ func (r *Result) SizeFactor() float64 { return r.Stats.SizeFactor() }
 // CompileBL compiles BL source text.
 func CompileBL(src string) (*ir.Program, error) { return lang.Compile(src) }
 
-// Run executes the full pipeline on a compiled program.
+// Run executes the full pipeline on a compiled program, numbering its
+// branch sites afresh.
 func Run(prog *ir.Program, cfg Config) (*Result, error) {
 	cfg.setDefaults()
 	nSites := prog.NumberBranches(true)
-	prof := profile.New(nSites, profile.Options{
+	prof, err := Profile(prog, nSites, profile.Options{
 		LocalK: cfg.LocalK, GlobalK: cfg.GlobalK, PathM: cfg.PathM,
-	})
-	if _, _, err := execute(prog, cfg, prof.Branch, prof.Switch); err != nil {
+	}, cfg.Run)
+	if err != nil {
 		return nil, fmt.Errorf("core: profiling run: %w", err)
 	}
-
-	feats := predict.Analyze(prog)
-	choices := statemachine.Select(prof, feats, statemachine.Options{
+	sel := Plan(prof, predict.Analyze(prog), statemachine.Options{
 		MaxStates:  cfg.MaxStates,
 		MaxPathLen: cfg.MaxPathLen,
 	})
-	preds := predict.ProfileStatic(prof.Counts).Preds
 
 	baseline := ir.CloneProgram(prog)
-	replicate.Annotate(baseline, preds)
-	baseRate, baseSum, err := execute(baseline, cfg, nil, nil)
+	replicate.Annotate(baseline, sel.Preds)
+	base, err := Measure(baseline, cfg.Run, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline run: %w", err)
 	}
 
-	clone := ir.CloneProgram(prog)
-	stats, err := replicate.ApplyOpts(clone, choices, preds, replicate.Options{
+	clone, stats, err := Apply(prog, sel, replicate.Options{
 		MaxSizeFactor: cfg.MaxSizeFactor,
-	})
+		Verify:        cfg.Verify,
+	}, cfg.Joint)
 	if err != nil {
 		return nil, err
 	}
-	replRate, replSum, err := execute(clone, cfg, nil, nil)
+	repl, err := Measure(clone, cfg.Run, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: replicated run: %w", err)
 	}
 
 	return &Result{
-		Original:           prog,
-		Replicated:         clone,
-		Profile:            prof,
-		Choices:            choices,
-		Stats:              stats,
-		BaselineRate:       baseRate,
-		ReplicatedRate:     replRate,
-		BaselineChecksum:   baseSum,
-		ReplicatedChecksum: replSum,
+		Original:    prog,
+		Replicated:  clone,
+		Profile:     prof,
+		Choices:     sel.Choices,
+		Stats:       stats,
+		Baseline:    base,
+		Transformed: repl,
 	}, nil
 }
 
@@ -134,23 +280,4 @@ func RunBL(src string, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return Run(prog, cfg)
-}
-
-func execute(prog *ir.Program, cfg Config, hook interp.BranchFunc, swHook interp.SwitchFunc) (rate float64, checksum uint64, err error) {
-	m := interp.New(prog)
-	m.MaxBranches = cfg.Budget
-	m.Hook = hook
-	m.SwHook = swHook
-	for name, v := range cfg.Globals {
-		if err := m.SetGlobal(name, v); err != nil {
-			return 0, 0, err
-		}
-	}
-	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
-		return 0, 0, err
-	}
-	if m.Predicted > 0 {
-		rate = 100 * float64(m.Mispredicted) / float64(m.Predicted)
-	}
-	return rate, m.Checksum, nil
 }

@@ -23,13 +23,13 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BaselineRate < 20 {
-		t.Fatalf("baseline %.2f%%, expected ~25%%", res.BaselineRate)
+	if res.Baseline.Rate() < 20 {
+		t.Fatalf("baseline %.2f%%, expected ~25%%", res.Baseline.Rate())
 	}
-	if res.ReplicatedRate > 0.5 {
-		t.Fatalf("replicated %.2f%%, expected ~0%%", res.ReplicatedRate)
+	if res.Transformed.Rate() > 0.5 {
+		t.Fatalf("replicated %.2f%%, expected ~0%%", res.Transformed.Rate())
 	}
-	if res.BaselineChecksum != res.ReplicatedChecksum {
+	if res.Baseline.Checksum != res.Transformed.Checksum {
 		t.Fatal("checksum changed")
 	}
 	if res.SizeFactor() <= 1 || res.SizeFactor() > 3 {
@@ -72,15 +72,15 @@ func main() int {
     print(s);
     return s;
 }`
-	res, err := RunBL(src, Config{
-		Budget:  50_000,
-		Globals: map[string]int64{"wseed": 7},
-	})
+	res, err := RunBL(src, Config{Run: RunConfig{Budget: 50_000, Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Profile.Counts.TotalAll() != 50_000 {
 		t.Fatalf("budget not honoured: %d", res.Profile.Counts.TotalAll())
+	}
+	if !res.Baseline.Truncated || !res.Transformed.Truncated {
+		t.Fatal("budgeted runs must report truncation")
 	}
 }
 
@@ -91,8 +91,8 @@ func TestPipelineErrors(t *testing.T) {
 	if _, err := RunBL("func main() int { return 1/0; }", Config{}); err == nil {
 		t.Fatal("want runtime error")
 	}
-	_, err := RunBL(alternating, Config{Globals: map[string]int64{"nope": 1}})
-	if err == nil || !strings.Contains(err.Error(), "nope") {
+	_, err := RunBL(alternating, Config{Run: RunConfig{Seed: 1}})
+	if err == nil || !strings.Contains(err.Error(), "wseed") {
 		t.Fatalf("want unknown-global error, got %v", err)
 	}
 }

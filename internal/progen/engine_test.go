@@ -19,15 +19,15 @@ type pipelineObs struct {
 
 func runPipeline(seed int64) (pipelineObs, error) {
 	src := Generate(seed, DefaultConfig())
-	res, err := core.RunBL(src, core.Config{Budget: 30_000})
+	res, err := core.RunBL(src, core.Config{Run: core.RunConfig{Budget: 30_000}})
 	if err != nil {
 		return pipelineObs{}, fmt.Errorf("seed %d: %w", seed, err)
 	}
 	return pipelineObs{
-		baselineRate:       res.BaselineRate,
-		replicatedRate:     res.ReplicatedRate,
-		baselineChecksum:   res.BaselineChecksum,
-		replicatedChecksum: res.ReplicatedChecksum,
+		baselineRate:       res.Baseline.Rate(),
+		replicatedRate:     res.Transformed.Rate(),
+		baselineChecksum:   res.Baseline.Checksum,
+		replicatedChecksum: res.Transformed.Checksum,
 		sizeFactor:         res.SizeFactor(),
 		choices:            len(res.Choices),
 	}, nil

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/profile"
@@ -86,5 +88,47 @@ func TestDiskRejectsMalformedProfiles(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIndirectFromDiskProfile restarts a server over a disk tier that holds
+// only the trace and the profile bundle: the indirect family must cluster
+// from the stored bundle's target table — no recording, no replay — and
+// answer with the golden response bytes.
+func TestIndirectFromDiskProfile(t *testing.T) {
+	cases := []struct{ golden, profile, replicate string }{
+		{"replicate_svm_indirect",
+			`{"workload":"svm","budget":20000}`,
+			`{"workload":"svm","budget":20000,"family":"indirect","check":true}`},
+		{"replicate_lex_indirect",
+			`{"workload":"lex","budget":20000,"seed":424243}`,
+			`{"workload":"lex","budget":20000,"family":"indirect","check":true,"seed":424243}`},
+	}
+	dir := t.TempDir()
+	_, ts1 := newTestServer(t, Config{DiskDir: dir})
+	for _, tc := range cases {
+		if code, out := postJSON(t, ts1.URL+"/v1/profile", tc.profile, nil); code != http.StatusOK {
+			t.Fatalf("cold profile: status %d: %s", code, out)
+		}
+	}
+	ts1.Close()
+
+	s2, ts2 := newTestServer(t, Config{DiskDir: dir})
+	for _, tc := range cases {
+		want, err := os.ReadFile(filepath.Join("testdata", "golden", tc.golden+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, got := postJSON(t, ts2.URL+"/v1/replicate", tc.replicate, nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.golden, code, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s from the disk profile differs from the golden:\ngot:  %s\nwant: %s", tc.golden, got, want)
+		}
+	}
+	if st := s2.Engine().Stats(); st.TraceRecords != 0 || st.Replays != 0 {
+		t.Fatalf("warm server made %d recordings and %d replays; the disk tier should have served the profiles",
+			st.TraceRecords, st.Replays)
 	}
 }

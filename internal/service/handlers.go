@@ -5,8 +5,10 @@ import (
 	"encoding/base64"
 	"errors"
 	"net/http"
+	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/diskstore"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -170,42 +172,28 @@ func (s *Server) budgetFor(req *Request) (uint64, error) {
 	return b, nil
 }
 
-// newMachine prepares a run of prog (c's program or a transformed clone of
-// it) under the request's dataset knobs. The context is threaded into the
-// run loop, so a disconnected client or an expired deadline stops the
-// machine. The step backstop bounds even branch-free loops.
-func newMachine(ctx context.Context, c *compiled, prog *ir.Program, budget uint64, req *Request) (*interp.Machine, error) {
-	m := interp.New(prog)
-	m.Ctx = ctx
-	m.MaxBranches = budget
-	m.MaxSteps = 512 * budget
-	if req.Seed != 0 {
-		if err := m.SetGlobal("wseed", req.Seed); err != nil {
-			return nil, badRequest("seed override: program %s has no wseed global", c.name)
-		}
-	}
-	switch {
-	case req.Scale != 0:
-		if err := m.SetGlobal("wscale", req.Scale); err != nil {
-			return nil, badRequest("scale override: program %s has no wscale global", c.name)
-		}
-	case budget != 0:
-		// Budgeted runs should not finish early; built-in workloads scale
-		// via wscale, ad-hoc programs need not declare it.
-		_ = m.SetGlobal("wscale", 1<<30)
-	}
-	return m, nil
+// runConfig is the request's run under budget: the dataset knobs, and
+// the context threaded into the run loop, so a disconnected client or an
+// expired deadline stops the machine.
+func runConfig(ctx context.Context, budget uint64, req *Request) core.RunConfig {
+	return core.RunConfig{Budget: budget, Seed: req.Seed, Scale: req.Scale, Ctx: ctx}
 }
 
-// runMachine executes m, treating the branch budget as normal completion.
-func runMachine(m *interp.Machine) (truncated bool, err error) {
-	if _, err := m.Run(); err != nil {
-		if errors.Is(err, interp.ErrLimit) {
-			return true, nil
-		}
-		return false, err
+// backstop bounds even branch-free loops: a run may take at most 512
+// instructions per budgeted branch.
+func backstop(budget uint64) func(*interp.Machine) {
+	return func(m *interp.Machine) { m.MaxSteps = 512 * budget }
+}
+
+// runError makes a seed or scale override on a program without that
+// global the client's fault.
+func runError(c *compiled, err error) error {
+	var mg *core.MissingGlobalError
+	if errors.As(err, &mg) {
+		return badRequest("%s override: program %s has no %s global",
+			strings.TrimPrefix(mg.Name, "w"), c.name, mg.Name)
 	}
-	return false, nil
+	return err
 }
 
 // artifactFor records — or fetches from the store — the branch trace of
@@ -219,24 +207,22 @@ func (s *Server) artifactFor(ctx context.Context, c *compiled, req *Request, bud
 	return doFor(s.store, key, c, func() (*artifact, error) {
 		rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
 		defer cancel()
-		m, err := newMachine(rctx, c, c.prog, budget, req)
-		if err != nil {
-			return nil, err
-		}
 		slab := trace.NewSlab(int(budget))
-		m.Rec = slab
-		truncated, err := runMachine(m)
+		e, err := core.Exec(c.prog, runConfig(rctx, budget, req), func(m *interp.Machine) {
+			backstop(budget)(m)
+			m.Rec = slab
+		})
 		if err != nil {
-			return nil, err
+			return nil, runError(c, err)
 		}
 		slab.Seal()
 		s.eng.CountRecord(int64(slab.Len()))
 		return &artifact{
 			slab:      slab,
-			branches:  m.Branches,
-			steps:     m.Steps,
-			checksum:  m.Checksum,
-			truncated: truncated,
+			branches:  e.Branches,
+			steps:     e.Steps,
+			checksum:  e.Checksum,
+			truncated: e.Truncated,
 		}, nil
 	})
 }
@@ -505,31 +491,28 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	choices := statemachine.Select(prof, c.feats, statemachine.Options{
+	sel := core.Plan(prof, c.feats, statemachine.Options{
 		MaxStates:  states,
 		MaxPathLen: pathLen,
 	})
-	preds := predict.ProfileStatic(prof.Counts).Preds
 
 	// Both measuring runs are live executions: the transformed clone's
 	// branch stream is exactly what the recorded trace cannot provide.
+	rc := runConfig(ctx, budget, req)
 	measure := func(prog *ir.Program) (MeasuredRun, error) {
-		m, err := newMachine(ctx, c, prog, budget, req)
+		r, err := core.Measure(prog, rc, backstop(budget))
 		if err != nil {
-			return MeasuredRun{}, err
-		}
-		if _, err := runMachine(m); err != nil {
-			return MeasuredRun{}, err
+			return MeasuredRun{}, runError(c, err)
 		}
 		s.eng.CountLiveRun()
 		return MeasuredRun{
-			RateBlock: rateBlock(m.Mispredicted, m.Predicted),
-			Checksum:  m.Checksum,
+			RateBlock: rateBlock(r.Mispredicted, r.Predicted),
+			Checksum:  r.Checksum,
 		}, nil
 	}
 
 	baseline := ir.CloneProgram(c.prog)
-	replicate.Annotate(baseline, preds)
+	replicate.Annotate(baseline, sel.Preds)
 	base, err := measure(baseline)
 	if err != nil {
 		return nil, err
@@ -547,12 +530,7 @@ func (s *Server) handleReplicate(ctx context.Context, req *Request) (any, error)
 		ropts.StaticSkip = rep.DecidedSites()
 	}
 
-	clone := ir.CloneProgram(c.prog)
-	apply := replicate.ApplyOpts
-	if req.Joint {
-		apply = replicate.ApplyJoint
-	}
-	st, err := apply(clone, choices, preds, ropts)
+	clone, st, err := core.Apply(c.prog, sel, ropts, req.Joint)
 	if err != nil {
 		if errors.Is(err, replicate.ErrVerify) {
 			// The transform produced a program the verifier cannot prove

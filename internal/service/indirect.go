@@ -4,12 +4,12 @@ import (
 	"context"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/indirect"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/predict"
 	"repro/internal/replicate"
-	"repro/internal/runner"
-	"repro/internal/trace"
 )
 
 // The indirect replication family of /v1/replicate: case clustering of hot
@@ -60,32 +60,6 @@ type IndirectReplicateResponse struct {
 	IR       string `json:"ir,omitempty"`
 }
 
-// hasGlobal reports whether the program declares a global by that name.
-func hasGlobal(prog *ir.Program, name string) bool {
-	for _, g := range prog.Globals {
-		if g.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// targetsFor replays the artifact's switch events into the per-site target
-// distribution, memoised content-addressed like the branch profile.
-func (s *Server) targetsFor(ctx context.Context, c *compiled, req *Request, budget uint64) (*trace.TargetCounts, error) {
-	art, err := s.artifactFor(ctx, c, req, budget)
-	if err != nil {
-		return nil, err
-	}
-	key := contentKey("targets", c.key, field(budget, req.Seed, req.Scale))
-	return runner.Cached(s.store, key, func() (*trace.TargetCounts, error) {
-		tc := trace.NewTargetCounts(c.nsites)
-		art.slab.ReplayInto(tc)
-		s.eng.CountReplay(int64(art.slab.Len()))
-		return tc, nil
-	})
-}
-
 func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any, error) {
 	c, err := s.resolveProgram(req)
 	if err != nil {
@@ -95,11 +69,9 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 	if err != nil {
 		return nil, err
 	}
+	// The profile bundle's target table holds every switch event of the
+	// recorded run; the clustering pass reads it directly.
 	prof, _, err := s.profileFor(ctx, c, req, budget)
-	if err != nil {
-		return nil, err
-	}
-	targets, err := s.targetsFor(ctx, c, req, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -111,8 +83,8 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 	// and the checksums would diverge. Scale the workload down to fit the
 	// budget instead (programs without a wscale knob run as-is) and keep the
 	// budget as a generous envelope rather than the measuring cut-off.
-	mreq := *req
-	if mreq.Scale == 0 && hasGlobal(c.prog, "wscale") {
+	rc := runConfig(ctx, 4*budget, req)
+	if rc.Scale == 0 && c.prog.Global("wscale") != nil {
 		scale := int64(budget / 50_000)
 		if scale < 1 {
 			scale = 1
@@ -120,26 +92,24 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 		if scale > 400 {
 			scale = 400
 		}
-		mreq.Scale = scale
+		rc.Scale = scale
 	}
 
 	// Both runs are live executions with a dispatch counter: the clustered
 	// clone's branch stream (and residual transfer count) is exactly what
 	// the recorded trace cannot provide.
 	measure := func(prog *ir.Program) (IndirectRun, error) {
-		m, err := newMachine(ctx, c, prog, budget, &mreq)
-		if err != nil {
-			return IndirectRun{}, err
-		}
-		m.MaxBranches = 4 * budget
 		var dispatches uint64
-		m.SwHook = func(t *ir.Term, _ int32) {
-			if t.Op == ir.TermSwitch {
-				dispatches++
+		m, err := core.Exec(prog, rc, func(m *interp.Machine) {
+			backstop(budget)(m)
+			m.SwHook = func(t *ir.Term, _ int32) {
+				if t.Op == ir.TermSwitch {
+					dispatches++
+				}
 			}
-		}
-		if _, err := runMachine(m); err != nil {
-			return IndirectRun{}, err
+		})
+		if err != nil {
+			return IndirectRun{}, runError(c, err)
 		}
 		s.eng.CountLiveRun()
 		r := IndirectRun{
@@ -162,7 +132,7 @@ func (s *Server) handleReplicateIndirect(ctx context.Context, req *Request) (any
 
 	clustered := ir.CloneProgram(baseline)
 	snap := ir.CloneProgram(clustered)
-	st, prov, err := indirect.Cluster(clustered, targets, indirect.Options{})
+	st, prov, err := indirect.Cluster(clustered, prof.Targets, indirect.Options{})
 	if err != nil {
 		return nil, err
 	}

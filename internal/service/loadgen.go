@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/trace"
 )
@@ -286,12 +287,8 @@ func recordTraceB64(workload string, budget uint64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	m := interp.New(c.Prog)
-	m.MaxBranches = budget
-	_ = m.SetGlobal("wscale", 1<<30)
 	slab := trace.NewSlab(int(budget))
-	m.Rec = slab
-	if _, err := m.Run(); err != nil && !errors.Is(err, interp.ErrLimit) {
+	if _, err := core.Exec(c.Prog, core.RunConfig{Budget: budget}, func(m *interp.Machine) { m.Rec = slab }); err != nil {
 		return "", err
 	}
 	slab.Seal()
