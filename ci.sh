@@ -109,6 +109,9 @@ stage_bench() {
     # Full-sweep oracle: the default `krallbench -all` output must hash to
     # the committed digest the perfbench sweep also checks.
     test "$(go run ./cmd/krallbench -all -quiet | sha256sum | cut -d' ' -f1)" = "$(cat perfbench/testdata/sweep_seed0.sha256)"
+    # The same digest with the trace-replay engine off, so every profile
+    # and every transformed clone's run is a live interpretation.
+    test "$(go run ./cmd/krallbench -all -forcelive -quiet | sha256sum | cut -d' ' -f1)" = "$(cat perfbench/testdata/sweep_seed0.sha256)"
     # Bench-regression gate: run the sweep (including the trace-replay
     # throughput modes), the service throughput harness, and the multi-node
     # scaling round into a fresh document, then compare it against the

@@ -263,7 +263,7 @@ func checkTransitions(c *Context) {
 						return
 					}
 					if governed {
-						want, defined := app.M.Next(s, a.bi, taken)
+						want, defined := app.M.Step(s, a.bi, taken)
 						if !defined {
 							c.Errorf(BlockPos(f, b), "machine transition from state %d on %s is undefined", s, slot)
 							return

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
+	"repro/internal/predict"
 )
 
 // This file implements the program-based (profile-free) half of the static
@@ -141,16 +142,7 @@ func (sh *SiteHeuristics) Confidence() float64 {
 // program, using the Context's cached CFGs and loop forests. Branch sites
 // must be numbered; the returned slice is indexed by site ID.
 func HeuristicSites(c *Context) []SiteHeuristics {
-	n := 0
-	for _, f := range c.Prog.Funcs {
-		for _, b := range f.Blocks {
-			t := &b.Term
-			if (t.Op == ir.TermBr && !t.SwTest) || t.Op == ir.TermSwitch {
-				n++
-			}
-		}
-	}
-	out := make([]SiteHeuristics, n)
+	out := make([]SiteHeuristics, c.Prog.NumSites())
 	for _, f := range c.Prog.Funcs {
 		g := c.Graph(f)
 		lf := c.Loops(f)
@@ -210,7 +202,7 @@ func siteHeuristics(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, b *ir.Block) S
 
 	// Condition-shape heuristics need the comparison defining the condition.
 	if cmp := condCmp(b); cmp != nil {
-		if p, ok := comparePrediction(cmp.Op); ok {
+		if p, ok := predict.OpcodePrediction(cmp.Op); ok {
 			fire(HeurOpcode, p == ir.PredTaken)
 		}
 		if p, ok := guardPrediction(cmp); ok {
@@ -219,7 +211,7 @@ func siteHeuristics(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, b *ir.Block) S
 	}
 
 	// Successor-shape heuristics: avoid calls, returns, and stores.
-	thenCall, elseCall := blockHasOp(then, ir.OpCall), blockHasOp(els, ir.OpCall)
+	thenCall, elseCall := predict.BlockCalls(then), predict.BlockCalls(els)
 	if thenCall != elseCall {
 		fire(HeurCall, !thenCall)
 	}
@@ -227,8 +219,7 @@ func siteHeuristics(f *ir.Func, g *cfg.Graph, lf *cfg.LoopForest, b *ir.Block) S
 	if thenRet != elseRet {
 		fire(HeurReturn, !thenRet)
 	}
-	thenStore := blockHasOp(then, ir.OpStoreG) || blockHasOp(then, ir.OpStoreElem)
-	elseStore := blockHasOp(els, ir.OpStoreG) || blockHasOp(els, ir.OpStoreElem)
+	thenStore, elseStore := predict.BlockStores(then), predict.BlockStores(els)
 	if thenStore != elseStore {
 		fire(HeurStore, !thenStore)
 	}
@@ -260,28 +251,17 @@ type cmpInstr struct {
 }
 
 // condCmp locates the comparison defining the branch condition within the
-// branch block (through mov chains), mirroring predict.Analyze's extraction
-// but additionally resolving constant operands.
+// branch block (predict.CondCompare) and resolves its constant operands.
 func condCmp(b *ir.Block) *cmpInstr {
-	cond := b.Term.Cond
-	for i := len(b.Instrs) - 1; i >= 0; i-- {
-		in := &b.Instrs[i]
-		if !in.Op.HasDst() || in.Dst != cond {
-			continue
-		}
-		if in.Op == ir.OpMov {
-			cond = in.A
-			continue
-		}
-		if !in.Op.IsCompare() {
-			return nil
-		}
-		cmp := &cmpInstr{Op: in.Op, A: in.A, B: in.B}
-		cmp.AImm, cmp.AFloat, cmp.AConst = constBefore(b, i, in.A)
-		cmp.BImm, cmp.BFloat, cmp.BConst = constBefore(b, i, in.B)
-		return cmp
+	i := predict.CondCompare(b)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	in := &b.Instrs[i]
+	cmp := &cmpInstr{Op: in.Op, A: in.A, B: in.B}
+	cmp.AImm, cmp.AFloat, cmp.AConst = constBefore(b, i, in.A)
+	cmp.BImm, cmp.BFloat, cmp.BConst = constBefore(b, i, in.B)
+	return cmp
 }
 
 // constBefore scans backward from instruction idx for the most recent
@@ -301,19 +281,6 @@ func constBefore(b *ir.Block, idx int, reg ir.Reg) (imm int64, isFloat, ok bool)
 		return 0, false, false
 	}
 	return 0, false, false
-}
-
-// comparePrediction is the opcode heuristic over BL's compare opcodes:
-// equality and less-than style tests predict not-taken (their taken side is
-// usually the rare case), the negations predict taken.
-func comparePrediction(op ir.Op) (ir.Prediction, bool) {
-	switch op {
-	case ir.OpEqI, ir.OpEqF, ir.OpLtI, ir.OpLtF, ir.OpLeI, ir.OpLeF:
-		return ir.PredNotTaken, true
-	case ir.OpNeI, ir.OpNeF, ir.OpGtI, ir.OpGtF, ir.OpGeI, ir.OpGeF:
-		return ir.PredTaken, true
-	}
-	return ir.PredNone, false
 }
 
 // guardPrediction fires on guard shapes — comparisons against a constant:
@@ -389,15 +356,4 @@ func swapCompare(op ir.Op) ir.Op {
 		return ir.OpLeF
 	}
 	return op
-}
-
-// blockHasOp reports whether the block contains an instruction with the
-// given opcode.
-func blockHasOp(b *ir.Block, op ir.Op) bool {
-	for i := range b.Instrs {
-		if b.Instrs[i].Op == op {
-			return true
-		}
-	}
-	return false
 }

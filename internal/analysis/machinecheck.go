@@ -70,7 +70,7 @@ func checkLoopMachine(c *Context, pos Pos, m *statemachine.LoopMachine) {
 	total := true
 	for i := 0; i < n && total; i++ {
 		for _, taken := range [2]bool{false, true} {
-			if _, ok := m.NextIndex(i, taken); !ok {
+			if _, ok := m.Step(i, 0, taken); !ok {
 				c.Errorf(pos, "loop machine state %v has no transition on %v: state set is incomplete", m.States[i], taken)
 				total = false
 			}
@@ -83,7 +83,7 @@ func checkLoopMachine(c *Context, pos Pos, m *statemachine.LoopMachine) {
 		i := queue[0]
 		queue = queue[1:]
 		for _, taken := range [2]bool{false, true} {
-			j, _ := m.NextIndex(i, taken)
+			j, _ := m.Step(i, 0, taken)
 			if !seen[j] {
 				seen[j] = true
 				queue = append(queue, j)
@@ -110,12 +110,8 @@ func checkExitMachine(c *Context, pos Pos, m *statemachine.ExitMachine) {
 		c.Errorf(pos, "exit machine has %d predictions for %d states", len(m.PredTaken), m.N)
 		return
 	}
-	for i := 0; i < m.N; i++ {
-		for _, taken := range [2]bool{false, true} {
-			if j := m.Next(i, taken); j < 0 || j >= m.N {
-				c.Errorf(pos, "exit machine transition from state %d on %v leaves the state set (%d)", i, taken, j)
-			}
-		}
+	if err := statemachine.CheckMachine(m, 1); err != nil {
+		c.Errorf(pos, "exit machine: %v", err)
 	}
 }
 
@@ -141,29 +137,14 @@ func checkPathMachine(c *Context, pos Pos, m *statemachine.PathMachine) {
 	}
 }
 
-// checkModel checks an applied machine model (notably §6 joint machines,
-// which exist only as applications) for total in-range transitions.
-func checkModel(c *Context, m Machine) {
-	jm, ok := m.(JointMachineModel)
+// checkModel checks an applied machine (notably a §6 joint machine, which
+// exists only as an application) for total in-range transitions.
+func checkModel(c *Context, m statemachine.Machine) {
+	jm, ok := m.(*statemachine.JointMachine)
 	if !ok {
 		return // loop/exit machines are covered through their Choice
 	}
-	n := jm.NumStates()
-	if n < 1 {
-		c.Errorf(Pos{}, "joint machine has no states")
-		return
-	}
-	if init := jm.InitState(); init < 0 || init >= n {
-		c.Errorf(Pos{}, "joint machine initial state %d out of range (%d states)", init, n)
-		return
-	}
-	for s := 0; s < n; s++ {
-		for bi := range jm.M.Branches {
-			for _, taken := range [2]bool{false, true} {
-				if _, ok := jm.Next(s, bi, taken); !ok {
-					c.Errorf(Pos{}, "joint machine transition from state %d, branch %d on %v is undefined", s, bi, taken)
-				}
-			}
-		}
+	if err := statemachine.CheckMachine(jm, len(jm.Branches)); err != nil {
+		c.Errorf(Pos{}, "joint machine: %v", err)
 	}
 }

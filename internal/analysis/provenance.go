@@ -37,77 +37,6 @@ type predAuth struct {
 	bi    int // branch index within a joint machine (0 for single machines)
 }
 
-// Machine is the verifier's view of a prediction state machine: a total
-// deterministic automaton over (state, branch index, outcome) with a
-// per-(state, branch) prediction. Next reports false when the transition is
-// undefined (an ill-formed machine), which the well-formedness pass turns
-// into a diagnostic instead of a crash.
-type Machine interface {
-	NumStates() int
-	InitState() int
-	Predict(state, branch int) bool
-	Next(state, branch int, taken bool) (int, bool)
-}
-
-// LoopMachineModel adapts a statemachine.LoopMachine (single branch, so the
-// branch index is ignored).
-type LoopMachineModel struct{ M *statemachine.LoopMachine }
-
-func (m LoopMachineModel) NumStates() int { return m.M.NumStates() }
-func (m LoopMachineModel) InitState() int { return m.M.Init }
-func (m LoopMachineModel) Predict(state, _ int) bool {
-	if state < 0 || state >= len(m.M.PredTaken) {
-		return false
-	}
-	return m.M.PredTaken[state]
-}
-func (m LoopMachineModel) Next(state, _ int, taken bool) (int, bool) {
-	if state < 0 || state >= m.M.NumStates() {
-		return -1, false
-	}
-	return m.M.NextIndex(state, taken)
-}
-
-// ExitMachineModel adapts a statemachine.ExitMachine.
-type ExitMachineModel struct{ M *statemachine.ExitMachine }
-
-func (m ExitMachineModel) NumStates() int { return m.M.N }
-func (m ExitMachineModel) InitState() int { return 0 }
-func (m ExitMachineModel) Predict(state, _ int) bool {
-	if state < 0 || state >= len(m.M.PredTaken) {
-		return false
-	}
-	return m.M.PredTaken[state]
-}
-func (m ExitMachineModel) Next(state, _ int, taken bool) (int, bool) {
-	if state < 0 || state >= m.M.N {
-		return -1, false
-	}
-	return m.M.Next(state, taken), true
-}
-
-// JointMachineModel adapts a statemachine.JointMachine (§6 product machine).
-type JointMachineModel struct{ M *statemachine.JointMachine }
-
-func (m JointMachineModel) NumStates() int { return m.M.States }
-func (m JointMachineModel) InitState() int { return m.M.Init }
-func (m JointMachineModel) Predict(state, branch int) bool {
-	if state < 0 || state >= m.M.States || branch < 0 || branch >= len(m.M.Branches) {
-		return false
-	}
-	return m.M.Predict(state, branch)
-}
-func (m JointMachineModel) Next(state, branch int, taken bool) (int, bool) {
-	if state < 0 || state >= m.M.States || branch < 0 || branch >= len(m.M.Branches) {
-		return -1, false
-	}
-	n := m.M.Next(state, branch, taken)
-	if n < 0 || n >= m.M.States {
-		return -1, false
-	}
-	return n, true
-}
-
 // Provenance records, while the replicator runs, where every block of the
 // transformed program came from and which machine state governs each branch
 // copy's static prediction. The Equivalence pass replays it as a lock-step
@@ -169,9 +98,10 @@ func (p *Provenance) RecordClones(m map[*ir.Block]*ir.Block) {
 	}
 }
 
-// NewMachineApp opens the record of one machine application (one
-// replicateLoop / replicateLoopJoint call).
-func (p *Provenance) NewMachineApp(m Machine) *MachineApp {
+// NewMachineApp opens the record of one machine application (one call of
+// the replicator's loop-replication kernel). The record holds m itself, so
+// the verifier reads the selected machine, not a copy.
+func (p *Provenance) NewMachineApp(m statemachine.Machine) *MachineApp {
 	if p == nil {
 		return nil
 	}
@@ -218,7 +148,7 @@ func (p *Provenance) authOf(b *ir.Block) predAuth {
 // machine and the state each created block copy belongs to.
 type MachineApp struct {
 	prov    *Provenance
-	M       Machine
+	M       statemachine.Machine
 	stateOf map[*ir.Block]int
 }
 

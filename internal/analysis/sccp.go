@@ -66,16 +66,7 @@ type SCCPResult struct {
 // SCCP runs the analysis over every function of a branch-numbered program.
 // The program is not modified; SSA construction works on a private lowering.
 func SCCP(prog *ir.Program) (*SCCPResult, error) {
-	n := 0
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			t := &b.Term
-			if (t.Op == ir.TermBr && !t.SwTest) || t.Op == ir.TermSwitch {
-				n++
-			}
-		}
-	}
-	res := &SCCPResult{Facts: make([]BranchFact, n)}
+	res := &SCCPResult{Facts: make([]BranchFact, prog.NumSites())}
 	sp, err := ssa.Build(prog)
 	if err != nil {
 		return nil, err

@@ -394,6 +394,20 @@ func (p *Program) NumberBranches(fresh bool) int {
 	return int(site)
 }
 
+// NumSites counts the program's prediction sites: the number
+// NumberBranches assigns.
+func (p *Program) NumSites() int {
+	n := 0
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			if b.Term.isSite() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // isSite reports whether the terminator owns a prediction site ID.
 func (t *Term) isSite() bool {
 	return (t.Op == TermBr && !t.SwTest) || t.Op == TermSwitch

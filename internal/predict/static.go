@@ -51,16 +51,7 @@ type SiteFeatures struct {
 // returned slice is indexed by site ID; switch sites carry only the Switch
 // marker, since the two-way feature set does not describe an N-way dispatch.
 func Analyze(prog *ir.Program) []SiteFeatures {
-	n := 0
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			t := &b.Term
-			if (t.Op == ir.TermBr && !t.SwTest) || t.Op == ir.TermSwitch {
-				n++
-			}
-		}
-	}
-	out := make([]SiteFeatures, n)
+	out := make([]SiteFeatures, prog.NumSites())
 	for _, f := range prog.Funcs {
 		g := cfg.Build(f)
 		lf := cfg.FindLoops(g)
@@ -74,7 +65,10 @@ func Analyze(prog *ir.Program) []SiteFeatures {
 			}
 			ft := &out[b.Term.Site]
 			ft.Site = b.Term.Site
-			ft.CmpOp, ft.CmpA, ft.CmpB = condCompare(b)
+			if i := CondCompare(b); i >= 0 {
+				in := &b.Instrs[i]
+				ft.CmpOp, ft.CmpA, ft.CmpB = in.Op, in.A, in.B
+			}
 			then, els := b.Term.Then, b.Term.Else
 			ft.TakenBack = g.IsBackEdge(b, then)
 			ft.ElseBack = g.IsBackEdge(b, els)
@@ -83,12 +77,12 @@ func Analyze(prog *ir.Program) []SiteFeatures {
 				ft.TakenExits = !l.Contains(then)
 				ft.ElseExits = !l.Contains(els)
 			}
-			ft.TakenCall = blockCalls(then)
-			ft.ElseCall = blockCalls(els)
+			ft.TakenCall = BlockCalls(then)
+			ft.ElseCall = BlockCalls(els)
 			ft.TakenRet = then.Term.Op == ir.TermRet
 			ft.ElseRet = els.Term.Op == ir.TermRet
-			ft.TakenStore = blockStores(then)
-			ft.ElseStore = blockStores(els)
+			ft.TakenStore = BlockStores(then)
+			ft.ElseStore = BlockStores(els)
 			if ft.CmpOp != ir.OpInvalid {
 				ft.TakenUses = blockUses(then, ft.CmpA, ft.CmpB)
 				ft.ElseUses = blockUses(els, ft.CmpA, ft.CmpB)
@@ -98,9 +92,10 @@ func Analyze(prog *ir.Program) []SiteFeatures {
 	return out
 }
 
-// condCompare finds the comparison instruction defining the branch
-// condition within the branch block.
-func condCompare(b *ir.Block) (ir.Op, ir.Reg, ir.Reg) {
+// CondCompare returns the index in b.Instrs of the comparison defining
+// b's branch condition, following mov chains backwards, or -1 when the
+// condition's origin is not a visible comparison in b.
+func CondCompare(b *ir.Block) int {
 	cond := b.Term.Cond
 	for i := len(b.Instrs) - 1; i >= 0; i-- {
 		in := &b.Instrs[i]
@@ -108,18 +103,19 @@ func condCompare(b *ir.Block) (ir.Op, ir.Reg, ir.Reg) {
 			continue
 		}
 		if in.Op.IsCompare() {
-			return in.Op, in.A, in.B
+			return i
 		}
 		if in.Op == ir.OpMov {
 			cond = in.A
 			continue
 		}
-		return ir.OpInvalid, 0, 0
+		return -1
 	}
-	return ir.OpInvalid, 0, 0
+	return -1
 }
 
-func blockCalls(b *ir.Block) bool {
+// BlockCalls reports whether the block calls a function.
+func BlockCalls(b *ir.Block) bool {
 	for i := range b.Instrs {
 		if b.Instrs[i].Op == ir.OpCall {
 			return true
@@ -128,7 +124,8 @@ func blockCalls(b *ir.Block) bool {
 	return false
 }
 
-func blockStores(b *ir.Block) bool {
+// BlockStores reports whether the block stores to a global.
+func BlockStores(b *ir.Block) bool {
 	for i := range b.Instrs {
 		switch b.Instrs[i].Op {
 		case ir.OpStoreG, ir.OpStoreElem:
@@ -259,12 +256,12 @@ func BackwardTaken(features []SiteFeatures) *Static {
 	return s
 }
 
-// opcodePrediction is Smith's opcode heuristic adapted to BL's compare
+// OpcodePrediction is Smith's opcode heuristic adapted to BL's compare
 // opcodes: equality and less-than style tests are predicted false (their
 // taken side is usually the rare case: bound checks, sentinel tests),
 // inequality and greater-than style tests are predicted true. The second
 // return value reports applicability.
-func opcodePrediction(op ir.Op) (ir.Prediction, bool) {
+func OpcodePrediction(op ir.Op) (ir.Prediction, bool) {
 	switch op {
 	case ir.OpEqI, ir.OpEqF, ir.OpLtI, ir.OpLtF, ir.OpLeI, ir.OpLeF:
 		return ir.PredNotTaken, true
@@ -282,7 +279,7 @@ func OpcodeStatic(features []SiteFeatures) *Static {
 		if ft.Switch {
 			continue
 		}
-		if p, ok := opcodePrediction(ft.CmpOp); ok {
+		if p, ok := OpcodePrediction(ft.CmpOp); ok {
 			s.Preds[i] = p
 		} else {
 			s.Preds[i] = ir.PredNotTaken
@@ -332,7 +329,7 @@ func ballLarusSite(ft *SiteFeatures) ir.Prediction {
 		return ir.PredTaken
 	}
 	// Opcode.
-	if p, ok := opcodePrediction(ft.CmpOp); ok {
+	if p, ok := OpcodePrediction(ft.CmpOp); ok {
 		return p
 	}
 	// Return: avoid branches to blocks which return.

@@ -1,10 +1,8 @@
 package replicate
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/statemachine"
@@ -17,30 +15,13 @@ import (
 // only its minimised product's states. Correlated (path) machines and
 // branches alone in their loop are handled exactly as Apply does.
 func ApplyJoint(prog *ir.Program, choices []statemachine.Choice, profilePreds []ir.Prediction, opts Options) (*Stats, error) {
-	st := &Stats{InstrsBefore: prog.NumInstrs()}
-	if opts.Verify {
-		st.Orig = ir.CloneProgram(prog)
-		st.Prov = analysis.NewProvenance(prog)
-	}
-	Annotate(prog, profilePreds)
-	branchy := branchyFuncs(prog)
-	budget := 0
-	if opts.MaxSizeFactor > 0 {
-		budget = int(float64(st.InstrsBefore) * opts.MaxSizeFactor)
-	}
-
+	d, want := begin(prog, choices, profilePreds, opts)
+	st := d.st
+	// Statically-decided sites never enter the joint groups — same
+	// "budget: static" rule as the sequential driver.
 	choiceBySite := map[int32]*statemachine.Choice{}
-	for i := range choices {
-		c := &choices[i]
-		// Statically-decided sites never enter the joint groups — same
-		// "budget: static" rule as the sequential driver.
-		if int(c.Site) < len(opts.StaticSkip) && opts.StaticSkip[c.Site] {
-			st.StaticSkipped++
-			continue
-		}
-		if c.Kind != statemachine.KindProfile {
-			choiceBySite[c.Site] = c
-		}
+	for _, c := range want {
+		choiceBySite[c.Site] = c
 	}
 
 	// Fixpoint over (loop, machine branches) groups: each pass re-analyses
@@ -104,7 +85,7 @@ func ApplyJoint(prog *ir.Program, choices []statemachine.Choice, profilePreds []
 				processed[b] = true
 			}
 			progress = true
-			if budget > 0 && prog.NumInstrs() > budget {
+			if d.over(0) {
 				st.Skipped += len(blocks)
 				continue
 			}
@@ -119,8 +100,7 @@ func ApplyJoint(prog *ir.Program, choices []statemachine.Choice, profilePreds []
 			// If the joint machine blows the size budget, drop the
 			// lowest-gain branches (the list is gain-sorted) until it
 			// fits, rather than skipping the whole loop.
-			for budget > 0 && len(cs) > 0 &&
-				prog.NumInstrs()+(jm.States-1)*l.NumInstrs() > budget {
+			for len(cs) > 0 && d.over(loopGrowth(l, jm.States)) {
 				st.Skipped++
 				cs = cs[:len(cs)-1]
 				blocks = blocks[:len(blocks)-1]
@@ -135,7 +115,7 @@ func ApplyJoint(prog *ir.Program, choices []statemachine.Choice, profilePreds []
 			if len(cs) == 0 {
 				continue
 			}
-			clones, err := replicateLoopJoint(f, l, blocks, jm, st.Prov)
+			clones, err := replicateLoop(f, l, blocks, jm, st.Prov, ".j")
 			if err != nil {
 				st.Skipped += len(blocks)
 				continue
@@ -150,7 +130,10 @@ func ApplyJoint(prog *ir.Program, choices []statemachine.Choice, profilePreds []
 		}
 	}
 
-	// Correlated machines as usual.
+	// Correlated machines, over every choice: unlike ApplyOpts, a path
+	// machine at a statically decided site is still applied, and the walk
+	// ranges over f.Blocks while replicatePath compacts it, so a fresh copy
+	// moved into the walked window is path-replicated again.
 	for i := range choices {
 		c := &choices[i]
 		if c.Kind != statemachine.KindPath {
@@ -159,92 +142,10 @@ func ApplyJoint(prog *ir.Program, choices []statemachine.Choice, profilePreds []
 		for _, f := range prog.Funcs {
 			for _, b := range f.Blocks {
 				if b.Term.Op == ir.TermBr && !b.Term.SwTest && b.Term.Orig == c.Site {
-					routed, catch := replicatePath(prog, f, b, c.Path, branchy, st.Prov)
-					st.PathEdgesRouted += routed
-					st.PathEdgesCatchAll += catch
-					st.PathApplied++
+					d.applyPath(site{f, b}, c)
 				}
 			}
 		}
 	}
-
-	prog.NumberBranches(false)
-	if err := prog.Validate(); err != nil {
-		return st, fmt.Errorf("replicate: joint-transformed program invalid: %w", err)
-	}
-	st.InstrsAfter = prog.NumInstrs()
-	if err := verify(st, prog, choices, profilePreds, opts); err != nil {
-		return st, err
-	}
-	return st, nil
-}
-
-// replicateLoopJoint copies loop l once per joint-machine state and wires
-// every machine branch's successors through the joint transition function.
-// It returns the branch-block clones it created so the driver can mark
-// them processed.
-func replicateLoopJoint(f *ir.Func, l *cfg.Loop, branches []*ir.Block, jm *statemachine.JointMachine, prov *analysis.Provenance) ([]*ir.Block, error) {
-	if jm.States < 2 {
-		// One state: just annotate the branches.
-		app := prov.NewMachineApp(analysis.JointMachineModel{M: jm})
-		for bi, b := range branches {
-			b.Term.Pred = predOf(jm.Predict(0, bi))
-			app.SetBranch(b, 0, bi)
-		}
-		return nil, nil
-	}
-	if l.Contains(f.Entry) {
-		return nil, fmt.Errorf("replicate: loop contains the function entry")
-	}
-	preClone := make([]*ir.Block, len(f.Blocks))
-	copy(preClone, f.Blocks)
-
-	app := prov.NewMachineApp(analysis.JointMachineModel{M: jm})
-	copies := make([]map[*ir.Block]*ir.Block, jm.States)
-	for s := 0; s < jm.States; s++ {
-		copies[s] = ir.CloneBlocks(f, l.Blocks, fmt.Sprintf(".j%d", s))
-		prov.RecordClones(copies[s])
-		for _, cp := range copies[s] {
-			app.SetState(cp, s)
-		}
-	}
-	for bi, b := range branches {
-		origThen, origElse := b.Term.Then, b.Term.Else
-		for s := 0; s < jm.States; s++ {
-			bc := copies[s][b]
-			bc.Term.Pred = predOf(jm.Predict(s, bi))
-			app.SetBranch(bc, s, bi)
-			if l.Contains(origThen) {
-				bc.Term.Then = copies[jm.Next(s, bi, true)][origThen]
-			}
-			if l.Contains(origElse) {
-				bc.Term.Else = copies[jm.Next(s, bi, false)][origElse]
-			}
-		}
-	}
-	initHeader := copies[jm.Init][l.Header]
-	for _, u := range preClone {
-		if l.Contains(u) {
-			continue
-		}
-		if u.Term.Then == l.Header {
-			u.Term.Then = initHeader
-		}
-		if (u.Term.Op == ir.TermBr || u.Term.Op == ir.TermSwitch) && u.Term.Else == l.Header {
-			u.Term.Else = initHeader
-		}
-		for ti, tb := range u.Term.Targets {
-			if tb == l.Header {
-				u.Term.Targets[ti] = initHeader
-			}
-		}
-	}
-	ir.RemoveUnreachable(f)
-	var clones []*ir.Block
-	for s := 0; s < jm.States; s++ {
-		for _, b := range branches {
-			clones = append(clones, copies[s][b])
-		}
-	}
-	return clones, nil
+	return d.finish(choices, profilePreds, opts)
 }

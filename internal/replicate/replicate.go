@@ -82,27 +82,6 @@ func Annotate(prog *ir.Program, preds []ir.Prediction) {
 	}
 }
 
-// machine abstracts the two loop-replicable machine families.
-type machine interface {
-	NumStates() int
-	Next(i int, taken bool) int
-	predTaken(i int) bool
-	initState() int
-	model() analysis.Machine
-}
-
-type loopM struct{ *statemachine.LoopMachine }
-
-func (m loopM) predTaken(i int) bool    { return m.PredTaken[i] }
-func (m loopM) initState() int          { return m.Init }
-func (m loopM) model() analysis.Machine { return analysis.LoopMachineModel{M: m.LoopMachine} }
-
-type exitM struct{ *statemachine.ExitMachine }
-
-func (m exitM) predTaken(i int) bool    { return m.PredTaken[i] }
-func (m exitM) initState() int          { return 0 }
-func (m exitM) model() analysis.Machine { return analysis.ExitMachineModel{M: m.ExitMachine} }
-
 func predOf(taken bool) ir.Prediction {
 	if taken {
 		return ir.PredTaken
@@ -149,199 +128,239 @@ func Apply(prog *ir.Program, choices []statemachine.Choice, profilePreds []ir.Pr
 // decreasing profile improvement, and applications stop once the budget is
 // exhausted (remaining machines are counted as Skipped).
 func ApplyOpts(prog *ir.Program, choices []statemachine.Choice, profilePreds []ir.Prediction, opts Options) (*Stats, error) {
-	st := &Stats{InstrsBefore: prog.NumInstrs()}
-	if opts.Verify {
-		st.Orig = ir.CloneProgram(prog)
-		st.Prov = analysis.NewProvenance(prog)
-	}
-	Annotate(prog, profilePreds)
-	branchy := branchyFuncs(prog)
+	d, want := begin(prog, choices, profilePreds, opts)
 	// Apply in decreasing gain density (correct predictions gained per
 	// instruction added) — the ordering rule of the paper's §5 figures.
 	// Costs are estimated on the untransformed program.
 	type cand struct {
-		idx     int
+		c       *statemachine.Choice
 		density float64
 	}
-	var cands []cand
+	forests := map[*ir.Func]*cfg.LoopForest{}
+	cands := make([]cand, 0, len(want))
+	for _, c := range want {
+		cost := 1.0
+		if c.Kind != statemachine.KindPath {
+			for _, s := range d.sites(c.Site) {
+				lf, ok := forests[s.f]
+				if !ok {
+					lf = cfg.FindLoops(cfg.Build(s.f))
+					forests[s.f] = lf
+				}
+				if est := loopGrowth(lf.InnermostLoop(s.b), c.NumStates()); est > 0 {
+					cost += float64(est)
+				}
+			}
+		}
+		cands = append(cands, cand{c: c, density: c.Gain() / cost})
+	}
+	sort.SliceStable(cands, func(a, b int) bool {
+		return cands[a].density > cands[b].density
+	})
+	for _, cd := range cands {
+		c := cd.c
+		if d.over(0) {
+			d.st.Skipped++
+			continue
+		}
+		for _, s := range d.sites(c.Site) {
+			if d.over(0) {
+				d.st.Skipped++
+				continue
+			}
+			if c.Kind == statemachine.KindPath {
+				d.applyPath(s, c)
+				continue
+			}
+			m := c.Machine()
+			if m == nil {
+				continue
+			}
+			// The loop is found once, on the current CFG, for both the
+			// growth estimate and the kernel.
+			l := cfg.FindLoops(cfg.Build(s.f)).InnermostLoop(s.b)
+			if l == nil || d.over(loopGrowth(l, m.NumStates())) {
+				d.st.Skipped++
+				continue
+			}
+			if _, err := replicateLoop(s.f, l, []*ir.Block{s.b}, m, d.st.Prov, ".q"); err != nil {
+				d.st.Skipped++
+			} else if c.Kind == statemachine.KindLoop {
+				d.st.LoopApplied++
+			} else {
+				d.st.ExitApplied++
+			}
+		}
+	}
+	return d.finish(choices, profilePreds, opts)
+}
+
+// driver is what ApplyOpts and ApplyJoint share: the program under
+// transformation, its Stats, the size budget (0 = unlimited) and the call
+// graph facts path replication needs. The two drivers differ only in the
+// order they apply machines.
+type driver struct {
+	prog    *ir.Program
+	st      *Stats
+	budget  int
+	branchy []bool
+}
+
+// begin is both drivers' prologue. It opens the Stats (with the verifier's
+// snapshot and provenance when opts.Verify is set), annotates every branch
+// with the profile predictions, sizes the budget, and returns the choices
+// that want a machine: not plain profile, and not at a site
+// opts.StaticSkip marks (those count as StaticSkipped).
+func begin(prog *ir.Program, choices []statemachine.Choice, profilePreds []ir.Prediction, opts Options) (*driver, []*statemachine.Choice) {
+	d := &driver{prog: prog, st: &Stats{InstrsBefore: prog.NumInstrs()}}
+	if opts.Verify {
+		d.st.Orig = ir.CloneProgram(prog)
+		d.st.Prov = analysis.NewProvenance(prog)
+	}
+	Annotate(prog, profilePreds)
+	d.branchy = branchyFuncs(prog)
+	if opts.MaxSizeFactor > 0 {
+		d.budget = int(float64(d.st.InstrsBefore) * opts.MaxSizeFactor)
+	}
+	var want []*statemachine.Choice
 	for i := range choices {
 		c := &choices[i]
 		// Statically-decided sites are claimed by the analysis before the
 		// profile-static fallback: however the selection classified them,
 		// no replication budget is spent there.
 		if int(c.Site) < len(opts.StaticSkip) && opts.StaticSkip[c.Site] {
-			st.StaticSkipped++
+			d.st.StaticSkipped++
 			continue
 		}
-		if c.Kind == statemachine.KindProfile {
-			continue
+		if c.Kind != statemachine.KindProfile {
+			want = append(want, c)
 		}
-		cost := 1.0
-		if c.Kind != statemachine.KindPath {
-			for _, f := range prog.Funcs {
-				for _, b := range f.Blocks {
-					if b.Term.Op == ir.TermBr && !b.Term.SwTest && b.Term.Orig == c.Site {
-						if est := estimateLoopGrowth(f, b, c.NumStates()); est > 0 {
-							cost += float64(est)
-						}
-					}
-				}
-			}
-		}
-		cands = append(cands, cand{idx: i, density: c.Gain() / cost})
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		return cands[a].density > cands[b].density
-	})
-	order := make([]int, len(cands))
-	for i, c := range cands {
-		order[i] = c.idx
-	}
-	budget := 0
-	if opts.MaxSizeFactor > 0 {
-		budget = int(float64(st.InstrsBefore) * opts.MaxSizeFactor)
-	}
-	for _, i := range order {
-		c := &choices[i]
-		if budget > 0 && prog.NumInstrs() > budget {
-			st.Skipped++
-			continue
-		}
-		// Locate every current block descending from the original branch.
-		type site struct {
-			f *ir.Func
-			b *ir.Block
-		}
-		var sites []site
-		for _, f := range prog.Funcs {
-			for _, b := range f.Blocks {
-				if b.Term.Op == ir.TermBr && !b.Term.SwTest && b.Term.Orig == c.Site {
-					sites = append(sites, site{f, b})
-				}
-			}
-		}
-		for _, s := range sites {
-			if budget > 0 {
-				cur := prog.NumInstrs()
-				if cur > budget {
-					st.Skipped++
-					continue
-				}
-				if c.Kind == statemachine.KindLoop || c.Kind == statemachine.KindExit {
-					if cur+estimateLoopGrowth(s.f, s.b, c.NumStates()) > budget {
-						st.Skipped++
-						continue
-					}
-				}
-			}
-			var err error
-			switch c.Kind {
-			case statemachine.KindLoop:
-				err = replicateLoop(s.f, s.b, loopM{c.Loop}, st.Prov)
-				if err == nil {
-					st.LoopApplied++
-				}
-			case statemachine.KindExit:
-				err = replicateLoop(s.f, s.b, exitM{c.Exit}, st.Prov)
-				if err == nil {
-					st.ExitApplied++
-				}
-			case statemachine.KindPath:
-				routed, catch := replicatePath(prog, s.f, s.b, c.Path, branchy, st.Prov)
-				st.PathEdgesRouted += routed
-				st.PathEdgesCatchAll += catch
-				st.PathApplied++
-			}
-			if err != nil {
-				st.Skipped++
+	return d, want
+}
+
+// over reports whether growing the program by grow instructions would
+// leave it beyond the size budget.
+func (d *driver) over(grow int) bool {
+	return d.budget > 0 && d.prog.NumInstrs()+grow > d.budget
+}
+
+// site is one current branch block descending from an original site.
+type site struct {
+	f *ir.Func
+	b *ir.Block
+}
+
+// sites locates every current branch block descending from original
+// branch site orig.
+func (d *driver) sites(orig int32) []site {
+	var out []site
+	for _, f := range d.prog.Funcs {
+		for _, b := range f.Blocks {
+			if b.Term.Op == ir.TermBr && !b.Term.SwTest && b.Term.Orig == orig {
+				out = append(out, site{f, b})
 			}
 		}
 	}
-	prog.NumberBranches(false)
-	if err := prog.Validate(); err != nil {
+	return out
+}
+
+// applyPath applies path machine choice c to branch block s by tail
+// duplication.
+func (d *driver) applyPath(s site, c *statemachine.Choice) {
+	routed, catch := replicatePath(d.prog, s.f, s.b, c.Path, d.branchy, d.st.Prov)
+	d.st.PathEdgesRouted += routed
+	d.st.PathEdgesCatchAll += catch
+	d.st.PathApplied++
+}
+
+// finish is both drivers' epilogue: renumber the branch sites (Orig IDs
+// kept), revalidate, measure the result, and run the equivalence suite
+// when opts.Verify is set, recording its diagnostics.
+func (d *driver) finish(choices []statemachine.Choice, profilePreds []ir.Prediction, opts Options) (*Stats, error) {
+	st := d.st
+	d.prog.NumberBranches(false)
+	if err := d.prog.Validate(); err != nil {
 		return st, fmt.Errorf("replicate: transformed program invalid: %w", err)
 	}
-	st.InstrsAfter = prog.NumInstrs()
-	if err := verify(st, prog, choices, profilePreds, opts); err != nil {
-		return st, err
+	st.InstrsAfter = d.prog.NumInstrs()
+	if !opts.Verify {
+		return st, nil
 	}
+	st.Diags = analysis.Verify(st.Orig, d.prog, st.Prov, choices, profilePreds)
+	if e := analysis.FirstError(st.Diags); e != nil {
+		return st, fmt.Errorf("%w: %s", ErrVerify, e)
+	}
+	st.Verified = true
 	return st, nil
 }
 
-// verify runs the equivalence suite over the transformed program when
-// Options.Verify is set, recording the diagnostics in st.
-func verify(st *Stats, prog *ir.Program, choices []statemachine.Choice, profilePreds []ir.Prediction, opts Options) error {
-	if !opts.Verify {
-		return nil
-	}
-	st.Diags = analysis.Verify(st.Orig, prog, st.Prov, choices, profilePreds)
-	if d := analysis.FirstError(st.Diags); d != nil {
-		return fmt.Errorf("%w: %s", ErrVerify, d)
-	}
-	st.Verified = true
-	return nil
-}
-
-// estimateLoopGrowth bounds the instruction growth of replicating the
-// innermost loop of block b into n state copies (pruning can only shrink
-// the real figure).
-func estimateLoopGrowth(f *ir.Func, b *ir.Block, n int) int {
-	g := cfg.Build(f)
-	lf := cfg.FindLoops(g)
-	l := lf.InnermostLoop(b)
+// loopGrowth bounds the instruction growth of replicating loop l into n
+// state copies (pruning can only shrink the real figure); 0 outside a
+// loop.
+func loopGrowth(l *cfg.Loop, n int) int {
 	if l == nil {
 		return 0
 	}
 	return (n - 1) * l.NumInstrs()
 }
 
-// replicateLoop materialises a state machine for the branch in block b by
-// copying its innermost natural loop once per state (Figure 1): all edges
-// stay within their copy except the replicated branch, whose taken and
-// not-taken successors jump into the copies designated by the transition
-// function. Entries into the loop go to the initial state's copy; exits
-// leave unchanged; unreachable copies are pruned.
-func replicateLoop(f *ir.Func, b *ir.Block, m machine, prov *analysis.Provenance) error {
+// replicateLoop materialises machine m in loop l by copying l once per
+// machine state (Figure 1). branches[i] is the block of m's branch i (one
+// block for a loop or exit machine, a loop's branch group for a joint
+// machine). Every edge stays within its copy except the governed
+// branches', whose successors inside l jump into the copies m's transition
+// function names. Entries into the loop go to the initial state's copy;
+// exits leave unchanged; unreachable copies are pruned. Copies are named
+// by suffix and the state. It returns the governed branch copies.
+func replicateLoop(f *ir.Func, l *cfg.Loop, branches []*ir.Block, m statemachine.Machine, prov *analysis.Provenance, suffix string) ([]*ir.Block, error) {
 	n := m.NumStates()
 	if n < 2 {
-		return nil
-	}
-	g := cfg.Build(f)
-	lf := cfg.FindLoops(g)
-	l := lf.InnermostLoop(b)
-	if l == nil {
-		return fmt.Errorf("replicate: branch block %s is not in a loop", b)
+		// One state: just annotate the branches.
+		app := prov.NewMachineApp(m)
+		for bi, b := range branches {
+			b.Term.Pred = predOf(m.Predict(0, bi))
+			app.SetBranch(b, 0, bi)
+		}
+		return nil, nil
 	}
 	if l.Contains(f.Entry) {
-		return fmt.Errorf("replicate: loop of %s contains the function entry", b)
+		return nil, fmt.Errorf("replicate: loop of %s contains the function entry", branches[0])
+	}
+	if err := statemachine.CheckMachine(m, len(branches)); err != nil {
+		return nil, err
 	}
 	preClone := make([]*ir.Block, len(f.Blocks))
 	copy(preClone, f.Blocks)
 
-	app := prov.NewMachineApp(m.model())
+	app := prov.NewMachineApp(m)
 	copies := make([]map[*ir.Block]*ir.Block, n)
 	for s := 0; s < n; s++ {
-		copies[s] = ir.CloneBlocks(f, l.Blocks, fmt.Sprintf(".q%d", s))
+		copies[s] = ir.CloneBlocks(f, l.Blocks, fmt.Sprintf("%s%d", suffix, s))
 		prov.RecordClones(copies[s])
 		for _, cp := range copies[s] {
 			app.SetState(cp, s)
 		}
 	}
-	// Wire the replicated branch: state transitions happen only here.
-	origThen, origElse := b.Term.Then, b.Term.Else
-	for s := 0; s < n; s++ {
-		bc := copies[s][b]
-		bc.Term.Pred = predOf(m.predTaken(s))
-		app.SetBranch(bc, s, 0)
-		if l.Contains(origThen) {
-			bc.Term.Then = copies[m.Next(s, true)][origThen]
-		}
-		if l.Contains(origElse) {
-			bc.Term.Else = copies[m.Next(s, false)][origElse]
+	// Wire the governed branches: state transitions happen only here.
+	for bi, b := range branches {
+		origThen, origElse := b.Term.Then, b.Term.Else
+		for s := 0; s < n; s++ {
+			bc := copies[s][b]
+			bc.Term.Pred = predOf(m.Predict(s, bi))
+			app.SetBranch(bc, s, bi)
+			if l.Contains(origThen) {
+				t, _ := m.Step(s, bi, true)
+				bc.Term.Then = copies[t][origThen]
+			}
+			if l.Contains(origElse) {
+				t, _ := m.Step(s, bi, false)
+				bc.Term.Else = copies[t][origElse]
+			}
 		}
 	}
 	// Route loop entries to the initial state's copy of the header.
-	initHeader := copies[m.initState()][l.Header]
+	initHeader := copies[m.InitState()][l.Header]
 	for _, u := range preClone {
 		if l.Contains(u) {
 			continue
@@ -359,7 +378,13 @@ func replicateLoop(f *ir.Func, b *ir.Block, m machine, prov *analysis.Provenance
 		}
 	}
 	ir.RemoveUnreachable(f)
-	return nil
+	var clones []*ir.Block
+	for s := 0; s < n; s++ {
+		for _, b := range branches {
+			clones = append(clones, copies[s][b])
+		}
+	}
+	return clones, nil
 }
 
 // branchyFuncs computes which functions may (transitively) execute a

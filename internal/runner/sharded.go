@@ -2,9 +2,10 @@ package runner
 
 import "hash/maphash"
 
-// Store is the content-addressed artifact store contract shared by
-// Cache, LRU, and Sharded: single-flight population keyed by string,
-// immutable values. Cached is the typed entry point over it.
+// Store is the content-addressed artifact store contract: single-flight
+// population keyed by string, immutable values. Cache, LRU and Sharded
+// implement it, as does any store layered over them; Cached is the one
+// typed entry point over every Store.
 type Store interface {
 	// Do returns the value stored under key, computing it with fn on
 	// first request (single-flight: concurrent requests for a missing key

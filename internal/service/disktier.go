@@ -38,25 +38,27 @@ type tieredStore struct {
 	fetchPeer func(key string) ([]byte, bool)
 }
 
-// Do implements runner.Store. Artifact and profile keys go through doFor,
-// which knows the program; through Do no stored artifact or profile is
-// trusted.
+// Do implements runner.Store. Artifact, profile and machine keys go
+// through doFor, which knows the program; through Do no stored artifact,
+// profile or machine list is trusted.
 func (t *tieredStore) Do(key string, fn func() (any, error)) (any, error) {
 	return t.do(key, nil, fn)
 }
 
-// doFor is Do for an artifact or profile key of program c. A disk or
-// peer slab naming a site or switch outcome beyond c's, or a stored
-// profile sized for another site count, cannot have come from that
-// program, so it is a miss.
+// doFor is Do for an artifact, profile or machine key of program c. A
+// disk or peer slab naming a site or switch outcome beyond c's, a stored
+// profile sized for another site count, or a stored machine list that is
+// not one choice of a well-formed shape per site of c
+// (statemachine.Choice.CheckShape) cannot have come from that program, so
+// it is a miss.
 func doFor[T any](t *tieredStore, key string, c *compiled, fn func() (T, error)) (T, error) {
 	v, err := t.do(key, c, func() (any, error) { return fn() })
 	out, _ := v.(T)
 	return out, err
 }
 
-// do is Do with c, the program of an artifact or profile key (nil when
-// unknown, which no stored slab or profile passes).
+// do is Do with c, the program of an artifact, profile or machine key
+// (nil when unknown, which no stored entry of those kinds passes).
 func (t *tieredStore) do(key string, c *compiled, fn func() (any, error)) (any, error) {
 	if t.disk == nil && t.fetchPeer == nil {
 		return t.mem.Do(key, fn)
@@ -125,8 +127,13 @@ func (t *tieredStore) loadDisk(key string, c *compiled) (any, bool) {
 			return nil, false
 		}
 		var cs []statemachine.Choice
-		if err := gobDecode(raw, &cs); err != nil {
+		if err := gobDecode(raw, &cs); err != nil || c == nil || len(cs) != c.nsites {
 			return nil, false
+		}
+		for i := range cs {
+			if cs[i].Site != int32(i) || cs[i].CheckShape(c.nsites) != nil {
+				return nil, false
+			}
 		}
 		return cs, true
 	case "score":

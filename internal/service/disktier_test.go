@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/profile"
+	"repro/internal/statemachine"
 )
 
 // TestDiskRejectsMalformedProfiles stores profile payloads that pass the
@@ -86,6 +87,86 @@ func TestDiskRejectsMalformedProfiles(t *testing.T) {
 				if !bytes.Equal(out, want[i]) {
 					t.Fatalf("%s response differs from the good profile's:\ngot:  %s\nwant: %s", ep, out, want[i])
 				}
+			}
+		})
+	}
+}
+
+// TestDiskRejectsMalformedMachines stores machine lists that pass the disk
+// store's CRC and gob but not the choices' shape: a loop choice without
+// its machine, an initial state out of range, a short prediction table,
+// and a choice naming a site beyond the program. Each must be a miss,
+// recomputed into a response byte-identical to a diskless server's — never
+// a panic and never an answer built from the spoiled entry.
+func TestDiskRejectsMalformedMachines(t *testing.T) {
+	const body = `{"workload":"cc","budget":5000}`
+	_, ref := newTestServer(t, Config{})
+	code, want := postJSON(t, ref.URL+"/v1/machines", body, nil)
+	if code != http.StatusOK {
+		t.Fatalf("reference machines: status %d: %s", code, want)
+	}
+
+	// loop is the index of the first loop choice with events, which the
+	// response lists.
+	loop := func(t *testing.T, cs []statemachine.Choice) int {
+		for i := range cs {
+			if cs[i].Kind == statemachine.KindLoop && cs[i].Total > 0 {
+				return i
+			}
+		}
+		t.Fatal("no loop choice with events; test is vacuous")
+		return -1
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(cs []statemachine.Choice, i int)
+	}{
+		{"nil machine", func(cs []statemachine.Choice, i int) { cs[i].Loop = nil }},
+		{"initial state out of range", func(cs []statemachine.Choice, i int) { cs[i].Loop.Init = len(cs[i].Loop.States) }},
+		{"short predictions", func(cs []statemachine.Choice, i int) { cs[i].Loop.PredTaken = cs[i].Loop.PredTaken[:1] }},
+		{"site beyond the program", func(cs []statemachine.Choice, i int) { cs[i].Site = int32(len(cs)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1 := newTestServer(t, Config{DiskDir: dir})
+			if code, out := postJSON(t, ts1.URL+"/v1/machines", body, nil); code != http.StatusOK {
+				t.Fatalf("cold machines: status %d: %s", code, out)
+			}
+			req := &Request{Workload: "cc", Budget: 5000}
+			c, err := s1.resolveProgram(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states, pathLen, err := req.machineOpts()
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := contentKey("mach", c.key, field(req.Budget, req.Seed, req.Scale, states, pathLen))
+			good, ok := s1.store.disk.Load(key)
+			if !ok {
+				t.Fatal("the cold server stored no machines; test is vacuous")
+			}
+			ts1.Close()
+
+			var cs []statemachine.Choice
+			if err := gobDecode(good, &cs); err != nil {
+				t.Fatal(err)
+			}
+			tc.spoil(cs, loop(t, cs))
+			bad, err := gobEncode(cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2, ts2 := newTestServer(t, Config{DiskDir: dir})
+			if err := s2.store.disk.Put(key, bad); err != nil {
+				t.Fatal(err)
+			}
+			code, out := postJSON(t, ts2.URL+"/v1/machines", body, nil)
+			if code != http.StatusOK {
+				t.Fatalf("status %d: %.300s", code, out)
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatalf("response differs from the diskless server's:\ngot:  %s\nwant: %s", out, want)
 			}
 		})
 	}

@@ -380,7 +380,7 @@ func (s *Server) handleMachines(ctx context.Context, req *Request) (any, error) 
 	// Selection is a pure function of the (memoised) profile and the
 	// request's machine options, so it is content-addressed too.
 	mkey := contentKey("mach", c.key, field(budget, req.Seed, req.Scale, states, pathLen))
-	choices, err := runner.Cached(s.store, mkey, func() ([]statemachine.Choice, error) {
+	choices, err := doFor(s.store, mkey, c, func() ([]statemachine.Choice, error) {
 		return statemachine.Select(prof, c.feats, statemachine.Options{
 			MaxStates:  states,
 			MaxPathLen: pathLen,

@@ -83,8 +83,25 @@ func (m *ExitMachine) Next(i int, taken bool) int {
 	return m.N - 1
 }
 
+// Step implements Machine: Next for branch 0, bounds-checked.
+func (m *ExitMachine) Step(state, branch int, taken bool) (int, bool) {
+	if branch != 0 || state < 0 || state >= m.N {
+		return -1, false
+	}
+	return m.Next(state, taken), true
+}
+
 // NumStates returns the machine size.
 func (m *ExitMachine) NumStates() int { return m.N }
+
+// InitState implements Machine: state 0, "the loop exit in the last
+// execution".
+func (m *ExitMachine) InitState() int { return 0 }
+
+// Predict implements Machine: state's majority direction for branch 0.
+func (m *ExitMachine) Predict(state, branch int) bool {
+	return branch == 0 && state >= 0 && state < len(m.PredTaken) && m.PredTaken[state]
+}
 
 // Misses is the mispredicted event count.
 func (m *ExitMachine) Misses() uint64 { return m.Total - m.Hits }

@@ -34,36 +34,6 @@ type JointMachine struct {
 	delta [][][2]int
 }
 
-// jointComponent adapts the two loop-replicable machine kinds.
-type jointComponent struct {
-	n    int
-	init int
-	pred func(state int) bool
-	next func(state int, taken bool) int
-}
-
-func componentOf(c *Choice) (jointComponent, bool) {
-	switch c.Kind {
-	case KindLoop:
-		m := c.Loop
-		return jointComponent{
-			n:    m.NumStates(),
-			init: m.Init,
-			pred: func(s int) bool { return m.PredTaken[s] },
-			next: m.Next,
-		}, true
-	case KindExit:
-		m := c.Exit
-		return jointComponent{
-			n:    m.NumStates(),
-			init: 0,
-			pred: func(s int) bool { return m.PredTaken[s] },
-			next: m.Next,
-		}, true
-	}
-	return jointComponent{}, false
-}
-
 // BuildJoint combines the loop/exit machine choices of branches that share
 // one loop into a single minimised machine. Choices of other kinds are
 // rejected. At least one choice is required.
@@ -71,20 +41,24 @@ func BuildJoint(choices []*Choice) (*JointMachine, error) {
 	if len(choices) == 0 {
 		return nil, fmt.Errorf("statemachine: joint machine needs at least one branch")
 	}
-	comps := make([]jointComponent, len(choices))
+	comps := make([]Machine, len(choices))
+	sizes := make([]int, len(choices))
 	sites := make([]int32, len(choices))
 	for i, c := range choices {
-		comp, ok := componentOf(c)
-		if !ok {
+		m := c.Machine()
+		if m == nil {
 			return nil, fmt.Errorf("statemachine: branch %d has %v machine; joint machines combine loop/exit only", c.Site, c.Kind)
 		}
-		comps[i] = comp
+		if err := CheckMachine(m, 1); err != nil {
+			return nil, fmt.Errorf("statemachine: branch %d: %w", c.Site, err)
+		}
+		comps[i], sizes[i] = m, m.NumStates()
 		sites[i] = c.Site
 	}
 	// Product states: mixed-radix tuples.
 	total := 1
-	for _, c := range comps {
-		total *= c.n
+	for _, n := range sizes {
+		total *= n
 		if total > 1<<20 {
 			return nil, fmt.Errorf("statemachine: product machine too large (>%d states)", 1<<20)
 		}
@@ -92,15 +66,15 @@ func BuildJoint(choices []*Choice) (*JointMachine, error) {
 	decode := func(s int) []int {
 		out := make([]int, len(comps))
 		for i := len(comps) - 1; i >= 0; i-- {
-			out[i] = s % comps[i].n
-			s /= comps[i].n
+			out[i] = s % sizes[i]
+			s /= sizes[i]
 		}
 		return out
 	}
 	encode := func(t []int) int {
 		s := 0
-		for i, c := range comps {
-			s = s*c.n + t[i]
+		for i, n := range sizes {
+			s = s*n + t[i]
 		}
 		return s
 	}
@@ -111,18 +85,18 @@ func BuildJoint(choices []*Choice) (*JointMachine, error) {
 		preds[s] = make([]bool, len(comps))
 		delta[s] = make([][2]int, len(comps))
 		for i, c := range comps {
-			preds[s][i] = c.pred(tup[i])
+			preds[s][i] = c.Predict(tup[i], 0)
 			for d := 0; d < 2; d++ {
 				nt := make([]int, len(tup))
 				copy(nt, tup)
-				nt[i] = c.next(tup[i], d == 1)
+				nt[i], _ = c.Step(tup[i], 0, d == 1)
 				delta[s][i][d] = encode(nt)
 			}
 		}
 	}
 	initTup := make([]int, len(comps))
 	for i, c := range comps {
-		initTup[i] = c.init
+		initTup[i] = c.InitState()
 	}
 	jm := &JointMachine{
 		Branches: sites,
@@ -136,8 +110,28 @@ func BuildJoint(choices []*Choice) (*JointMachine, error) {
 	return jm, nil
 }
 
-// Predict returns the prediction for branch index bi in the given state.
-func (jm *JointMachine) Predict(state, bi int) bool { return jm.preds[state][bi] }
+// NumStates implements Machine.
+func (jm *JointMachine) NumStates() int { return jm.States }
+
+// InitState implements Machine.
+func (jm *JointMachine) InitState() int { return jm.Init }
+
+// Predict returns the prediction for branch index bi in the given state
+// (not-taken out of range).
+func (jm *JointMachine) Predict(state, bi int) bool {
+	return state >= 0 && state < jm.States && bi >= 0 && bi < len(jm.Branches) && jm.preds[state][bi]
+}
+
+// Step implements Machine: Next, bounds-checked.
+func (jm *JointMachine) Step(state, bi int, taken bool) (int, bool) {
+	if state < 0 || state >= jm.States || bi < 0 || bi >= len(jm.Branches) {
+		return -1, false
+	}
+	if t := jm.Next(state, bi, taken); t >= 0 && t < jm.States {
+		return t, true
+	}
+	return -1, false
+}
 
 // Next is the transition when branch index bi resolves with the outcome.
 func (jm *JointMachine) Next(state, bi int, taken bool) int {

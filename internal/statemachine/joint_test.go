@@ -1,6 +1,7 @@
 package statemachine
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/profile"
@@ -154,5 +155,176 @@ func TestJointNeverExceedsProduct(t *testing.T) {
 		if jm.Init < 0 || jm.Init >= jm.States {
 			t.Fatalf("bad init %d", jm.Init)
 		}
+	}
+}
+
+// refMachine is the oracle's view of one component machine, derived from
+// its fields alone: the paper's transition rules, not the Machine methods
+// BuildJoint reads.
+type refMachine struct {
+	init int
+	pred []bool
+	next func(s int, taken bool) int
+}
+
+// refOf builds the oracle view of a loop or exit choice. A loop machine
+// moves to the longest state that is a suffix of the shifted history
+// (Figures 2–4); an exit machine returns to state 0 on the exit direction
+// and otherwise climbs to its saturating top state (Figure 5).
+func refOf(c *Choice) refMachine {
+	if m := c.Loop; m != nil {
+		return refMachine{init: m.Init, pred: m.PredTaken, next: func(s int, taken bool) int {
+			h := m.States[s].Shift(taken)
+			best := -1
+			for j, q := range m.States {
+				if q.Len <= h.Len && h.Bits&(1<<q.Len-1) == q.Bits && (best < 0 || q.Len > m.States[best].Len) {
+					best = j
+				}
+			}
+			return best
+		}}
+	}
+	m := c.Exit
+	return refMachine{init: 0, pred: m.PredTaken, next: func(s int, taken bool) int {
+		if taken == m.ExitTaken {
+			return 0
+		}
+		return min(s+1, m.N-1)
+	}}
+}
+
+// randLoopChoice returns a loop choice with a random well-formed n-state
+// machine: a complete base (the two 1-bit or, when n ≥ 4, sometimes the
+// four 2-bit patterns) grown by random one-bit-older extensions, which
+// keeps the set suffix-closed; random predictions and initial state.
+func randLoopChoice(rng *rand.Rand, site int32, n int) *Choice {
+	states := []Pattern{{Bits: 0, Len: 1}, {Bits: 1, Len: 1}}
+	if n >= 4 && rng.Intn(2) == 0 {
+		states = []Pattern{{Bits: 0, Len: 2}, {Bits: 1, Len: 2}, {Bits: 2, Len: 2}, {Bits: 3, Len: 2}}
+	}
+	for len(states) < n {
+		p := states[rng.Intn(len(states))].Extend(rng.Intn(2) == 1)
+		dup := false
+		for _, q := range states {
+			dup = dup || q == p
+		}
+		if !dup {
+			states = append(states, p)
+		}
+	}
+	sortPatterns(states)
+	m := &LoopMachine{States: states, PredTaken: make([]bool, n), Init: rng.Intn(n)}
+	for i := range m.PredTaken {
+		m.PredTaken[i] = rng.Intn(2) == 1
+	}
+	return &Choice{Site: site, Kind: KindLoop, Loop: m}
+}
+
+// randExitChoice returns an exit choice with a random n-state machine.
+func randExitChoice(rng *rand.Rand, site int32, n int) *Choice {
+	m := &ExitMachine{N: n, ExitTaken: rng.Intn(2) == 1, PredTaken: make([]bool, n)}
+	for i := range m.PredTaken {
+		m.PredTaken[i] = rng.Intn(2) == 1
+	}
+	return &Choice{Site: site, Kind: KindExit, Exit: m}
+}
+
+// checkJointWords runs jm and the oracle views of cs in lockstep over
+// every word of (branch index, outcome) letters up to maxLen long: after
+// every prefix, jm must predict each branch as its component does, and
+// every step must stay inside jm's states.
+func checkJointWords(t *testing.T, jm *JointMachine, cs []*Choice, maxLen int) {
+	t.Helper()
+	refs := make([]refMachine, len(cs))
+	tup := make([]int, len(cs))
+	for i, c := range cs {
+		refs[i] = refOf(c)
+		tup[i] = refs[i].init
+	}
+	var word []int
+	var walk func(s int)
+	walk = func(s int) {
+		for bi, r := range refs {
+			if jm.Predict(s, bi) != r.pred[tup[bi]] {
+				t.Fatalf("after word %v: joint state %d predicts %v for branch %d, component state %d predicts %v",
+					word, s, jm.Predict(s, bi), bi, tup[bi], r.pred[tup[bi]])
+			}
+		}
+		if len(word) == maxLen {
+			return
+		}
+		for bi, r := range refs {
+			for _, taken := range [2]bool{false, true} {
+				ns, ok := jm.Step(s, bi, taken)
+				if !ok {
+					t.Fatalf("after word %v: joint state %d has no transition for branch %d on %v", word, s, bi, taken)
+				}
+				old := tup[bi]
+				tup[bi] = r.next(old, taken)
+				letter := 2 * bi
+				if taken {
+					letter++
+				}
+				word = append(word, letter)
+				walk(ns)
+				word = word[:len(word)-1]
+				tup[bi] = old
+			}
+		}
+	}
+	walk(jm.Init)
+}
+
+// TestJointBruteForceOracle checks BuildJoint against its definition on
+// random well-formed loop and exit machines of 2–5 states, in pairs and
+// triples: the minimised joint machine must predict every branch exactly
+// as the components run in lockstep do, on every (branch, outcome) word up
+// to length 6.
+func TestJointBruteForceOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 60; trial++ {
+		nb := 2 + trial%2
+		cs := make([]*Choice, nb)
+		for i := range cs {
+			n := 2 + rng.Intn(4)
+			if rng.Intn(3) == 0 {
+				cs[i] = randExitChoice(rng, int32(i), n)
+			} else {
+				cs[i] = randLoopChoice(rng, int32(i), n)
+			}
+		}
+		jm, err := BuildJoint(cs)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		product := 1
+		for _, c := range cs {
+			product *= c.NumStates()
+		}
+		if jm.States < 1 || jm.States > product {
+			t.Fatalf("trial %d: joint machine has %d states, product %d", trial, jm.States, product)
+		}
+		checkJointWords(t, jm, cs, 6)
+	}
+}
+
+// TestJointSingleChoiceIsItsMachine checks that BuildJoint of one choice
+// behaves as the choice's own machine on every outcome word up to length 6.
+func TestJointSingleChoiceIsItsMachine(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(4)
+		c := randLoopChoice(rng, 0, n)
+		if trial%2 == 1 {
+			c = randExitChoice(rng, 0, n)
+		}
+		jm, err := BuildJoint([]*Choice{c})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if jm.States > n {
+			t.Fatalf("trial %d: single %d-state machine became %d joint states", trial, n, jm.States)
+		}
+		checkJointWords(t, jm, []*Choice{c}, 6)
 	}
 }

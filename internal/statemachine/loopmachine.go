@@ -49,22 +49,33 @@ func (m *LoopMachine) StateIndex(p Pattern) int {
 	return -1
 }
 
+// InitState implements Machine.
+func (m *LoopMachine) InitState() int { return m.Init }
+
+// Predict implements Machine: state's majority direction for branch 0.
+func (m *LoopMachine) Predict(state, branch int) bool {
+	return branch == 0 && state >= 0 && state < len(m.PredTaken) && m.PredTaken[state]
+}
+
 // Next is the transition function: from state i with the given outcome,
 // move to the longest state matching the new truncated history. The state
 // set's completeness guarantees a match.
 func (m *LoopMachine) Next(i int, taken bool) int {
-	j, ok := m.NextIndex(i, taken)
+	j, ok := m.Step(i, 0, taken)
 	if !ok {
 		panic(fmt.Sprintf("statemachine: incomplete state set %v lacks match for %v", m.States, m.States[i].Shift(taken)))
 	}
 	return j
 }
 
-// NextIndex is the non-panicking transition function: it reports false when
-// the state set is incomplete (no state matches the shifted history), which
-// well-formedness analyses diagnose instead of crashing.
-func (m *LoopMachine) NextIndex(i int, taken bool) (int, bool) {
-	cand := m.States[i].Shift(taken)
+// Step implements Machine: Next for branch 0 that reports false, instead
+// of panicking, when the state set is incomplete (no state matches the
+// shifted history).
+func (m *LoopMachine) Step(state, branch int, taken bool) (int, bool) {
+	if branch != 0 || state < 0 || state >= len(m.States) {
+		return -1, false
+	}
+	cand := m.States[state].Shift(taken)
 	best := -1
 	var bestLen uint8
 	for j, q := range m.States {

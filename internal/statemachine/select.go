@@ -51,12 +51,10 @@ type Choice struct {
 
 // NumStates is the chosen machine's size (1 for plain profile).
 func (c *Choice) NumStates() int {
-	switch c.Kind {
-	case KindLoop:
-		return c.Loop.NumStates()
-	case KindExit:
-		return c.Exit.NumStates()
-	case KindPath:
+	if m := c.Machine(); m != nil {
+		return m.NumStates()
+	}
+	if c.Kind == KindPath {
 		return c.Path.NumStates()
 	}
 	return 1
